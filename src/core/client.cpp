@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/flat_map.hpp"
 
 namespace das::core {
 
@@ -80,6 +79,7 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
   }
   d_est_.assign(params_.num_servers, 0.0);
   mu_est_.assign(params_.num_servers, 1.0);
+  scratch_index_.assign(params_.num_servers, kUntouched);
   selector_ = select::make_selector(params_.replica_selection);
   rto_strikes_.assign(params_.num_servers, 0);
   suspected_.assign(params_.num_servers, 0);
@@ -142,6 +142,32 @@ double Client::service_estimate_us(ServerId server, double demand) const {
 SimTime Client::full_estimate(SimTime now, ServerId server, double demand) const {
   const double d = params_.adaptive ? d_est_[server] : 0.0;
   return now + params_.est_rtt_us + d + service_estimate_us(server, demand);
+}
+
+Client::TopTwo::TopTwo(const std::vector<ServerAgg>& aggs) {
+  for (const ServerAgg& agg : aggs) {
+    if (agg.max_full_estimate > first) {
+      second = first;
+      first = agg.max_full_estimate;
+      first_server = agg.server;
+    } else if (agg.max_full_estimate > second) {
+      second = agg.max_full_estimate;
+    }
+  }
+}
+
+void Client::reset_server_scratch() {
+  for (const ServerAgg& agg : server_scratch_) scratch_index_[agg.server] = kUntouched;
+  server_scratch_.clear();
+}
+
+Client::ServerAgg& Client::server_agg(ServerId server) {
+  std::uint32_t& index = scratch_index_[server];
+  if (index == kUntouched) {
+    index = static_cast<std::uint32_t>(server_scratch_.size());
+    server_scratch_.push_back(ServerAgg{server});
+  }
+  return server_scratch_[index];
 }
 
 select::LearnedView Client::learned_view() const {
@@ -293,22 +319,11 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   const SimTime expiry = pending.expiry;
   pending.ops.reserve(plan.size());
 
-  // Per-server aggregates: (op count, demand sum) for the Rein bottleneck
-  // tags, plus the per-server max full-completion estimate for the DAS
-  // deferral bounds.
-  struct ServerAgg {
-    std::uint32_t ops = 0;
-    double demand = 0;
-    SimTime max_full_estimate = 0;
-  };
-  // FlatMap, not unordered_map: only max/sum aggregation below, so iteration
-  // order cannot leak into results — but FlatMap's order is at least
-  // deterministic across standard libraries.
-  FlatMap<ServerId, ServerAgg> per_server;
+  reset_server_scratch();
   double total_demand = 0;
   double critical_us = 0;
   for (const PlannedOp& planned : plan) {
-    auto& agg = per_server[planned.server];
+    ServerAgg& agg = server_agg(planned.server);
     ++agg.ops;
     agg.demand += planned.demand;
     agg.max_full_estimate = std::max(
@@ -328,10 +343,11 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   }
   std::uint32_t bottleneck_ops = 0;
   double bottleneck_demand = 0;
-  for (const auto& [server, agg] : per_server) {
+  for (const ServerAgg& agg : server_scratch_) {
     bottleneck_ops = std::max(bottleneck_ops, agg.ops);
     bottleneck_demand = std::max(bottleneck_demand, agg.demand);
   }
+  const TopTwo top(server_scratch_);
 
   pending.remaining = pending.ops.size();
   pending.last_sent_critical = critical_us;
@@ -342,14 +358,6 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   }
 
   for (PendingOp& op : pending.ops) {
-    // Deferral bound: the latest completion estimate among siblings on
-    // servers other than this op's.
-    SimTime est_other = 0;
-    for (const auto& [server, agg] : per_server) {
-      if (server == op.server) continue;
-      est_other = std::max(est_other, agg.max_full_estimate);
-    }
-
     sched::OpContext ctx;
     ctx.op_id = op.op_id;
     ctx.request_id = rid;
@@ -358,7 +366,9 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
     ctx.demand_us = op.demand_us;
     ctx.request_arrival = now;
     ctx.remaining_critical_us = critical_us;
-    ctx.est_other_completion = est_other;
+    // Deferral bound: the latest completion estimate among siblings on
+    // servers other than this op's.
+    ctx.est_other_completion = top.excluding(op.server);
     ctx.bottleneck_ops = bottleneck_ops;
     ctx.bottleneck_demand_us = bottleneck_demand;
     ctx.total_demand_us = total_demand;
@@ -703,27 +713,18 @@ void Client::on_response(const OpResponse& resp) {
   // enough to change scheduling decisions.
   double new_critical = 0;
   double remaining_demand = 0;
-  // Iteration order below decides the order progress updates hit the
-  // network (event sequence numbers!), so this must NOT be an unordered
-  // container: libstdc++ and libc++ would send in different orders and
-  // produce different results. First-touch order — the order ops appear in
-  // the request — is deterministic everywhere. A request touches few
-  // distinct servers (fan-out mean 8), so the linear scan is cheap.
-  std::vector<std::pair<ServerId, SimTime>> server_max_full;
+  // The scratch lists servers in first-touch order — the order ops appear in
+  // the request — and that order decides the order progress updates hit the
+  // network (event sequence numbers!), so it must be deterministic.
+  reset_server_scratch();
   for (const PendingOp& op : req.ops) {
     if (op.done) continue;
     remaining_demand += op.demand_us;
     new_critical =
         std::max(new_critical, service_estimate_us(op.server, op.demand_us));
-    const auto slot = std::find_if(
-        server_max_full.begin(), server_max_full.end(),
-        [&](const auto& entry) { return entry.first == op.server; });
-    const SimTime est = full_estimate(now, op.server, op.demand_us);
-    if (slot == server_max_full.end()) {
-      server_max_full.emplace_back(op.server, est);
-    } else {
-      slot->second = std::max(slot->second, est);
-    }
+    ServerAgg& agg = server_agg(op.server);
+    agg.max_full_estimate = std::max(agg.max_full_estimate,
+                                     full_estimate(now, op.server, op.demand_us));
   }
   // Send when either the critical path (DAS's key) or the total remaining
   // (ReqSRPT's key) moved by more than the threshold, relative to its last
@@ -739,18 +740,13 @@ void Client::on_response(const OpResponse& resp) {
   req.last_sent_total = remaining_demand;
   // One update per distinct server still holding pending ops; the deferral
   // bound is per destination (max full estimate over the OTHER servers).
-  for (const auto& [server, unused] : server_max_full) {
-    (void)unused;
-    SimTime est_other = 0;
-    for (const auto& [other, est] : server_max_full) {
-      if (other == server) continue;
-      est_other = std::max(est_other, est);
-    }
+  const TopTwo top(server_scratch_);
+  for (const ServerAgg& agg : server_scratch_) {
     sched::ProgressUpdate update;
     update.remaining_critical_us = new_critical;
-    update.est_other_completion = est_other;
+    update.est_other_completion = top.excluding(agg.server);
     update.remaining_total_us = remaining_demand;
-    send_progress_(server, rid, update);
+    send_progress_(agg.server, rid, update);
     ++progress_sent_;
   }
 }

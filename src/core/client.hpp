@@ -252,6 +252,36 @@ class Client {
     Bytes write_size = 0;
   };
 
+  /// One distinct server of a request, aggregated over its ops there: op
+  /// count and demand sum (Rein bottleneck tags) and the max full
+  /// completion estimate (DAS deferral bounds).
+  struct ServerAgg {
+    ServerId server = 0;
+    std::uint32_t ops = 0;
+    double demand = 0;
+    SimTime max_full_estimate = 0;
+  };
+
+  /// The two largest max_full_estimate values over distinct servers, from a
+  /// baseline of 0. A destination's deferral bound — the max over the OTHER
+  /// servers — is the runner-up for the server holding the maximum and the
+  /// maximum for every other server; ties leave both equal.
+  struct TopTwo {
+    SimTime first = 0;
+    SimTime second = 0;
+    ServerId first_server = kInvalidServer;
+    explicit TopTwo(const std::vector<ServerAgg>& aggs);
+    SimTime excluding(ServerId server) const {
+      return server == first_server ? second : first;
+    }
+  };
+
+  /// Empties the per-server scratch (tagging and progress fan-out share it).
+  void reset_server_scratch();
+  /// The scratch aggregate of `server`, appended on first touch so the
+  /// scratch lists servers in first-touch order.
+  ServerAgg& server_agg(ServerId server);
+
   void schedule_next_arrival(std::size_t tenant, SimTime horizon);
   void generate_request(std::size_t tenant);
   /// Chain-schedules this client's next assigned replay record (>= `index`,
@@ -292,6 +322,12 @@ class Client {
 
   std::vector<double> d_est_;
   std::vector<double> mu_est_;
+  /// Per-server scratch reused by every request and response, so tagging
+  /// and progress fan-out allocate nothing: the distinct servers touched, in
+  /// first-touch order, and per server its index there (kUntouched if none).
+  static constexpr std::uint32_t kUntouched = 0xFFFFFFFFu;
+  std::vector<ServerAgg> server_scratch_;
+  std::vector<std::uint32_t> scratch_index_;
   /// The replica-selection strategy (src/select); shared by fresh picks,
   /// hedges and failovers so their ranking logic cannot diverge again.
   std::unique_ptr<select::ReplicaSelector> selector_;

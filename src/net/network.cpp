@@ -20,6 +20,7 @@ class ConstantLatency final : public LatencyModel {
     os << "constant(" << d_ << "us)";
     return os.str();
   }
+  bool is_constant() const override { return true; }
 
  private:
   Duration d_;
@@ -83,6 +84,9 @@ Network::Network(sim::Simulator& sim, Config config, Rng rng)
   DAS_CHECK(config_.latency != nullptr);
   DAS_CHECK(config_.bandwidth_bytes_per_us >= 0);
   DAS_CHECK(config_.loss_probability >= 0 && config_.loss_probability < 1);
+  use_lane_ =
+      config_.latency->is_constant() && config_.bandwidth_bytes_per_us == 0;
+  lane_latency_ = config_.latency->mean();
   if (config_.num_nodes != 0) {
     link_last_dense_.assign(
         static_cast<std::size_t>(config_.num_nodes) * config_.num_nodes, 0.0);
@@ -160,6 +164,10 @@ void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
   }
   if (burst_loss_ > 0 && rng_.chance(burst_loss_)) {
     ++stats_.messages_dropped;
+    return;
+  }
+  if (use_lane_) {
+    sim_.schedule_fifo(sim_.now() + lane_latency_, std::move(deliver));
     return;
   }
   Duration delay = config_.latency->sample(rng_);

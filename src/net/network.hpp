@@ -6,6 +6,13 @@
 // never reorders messages on the same (src, dst) pair, matching a TCP
 // connection — because schedulers downstream rely on feedback arriving in
 // causal order.
+//
+// With a constant latency and no bandwidth term every message arrives
+// exactly `latency` after it is sent, so arrival times never decrease in send
+// order: such a network schedules its deliveries on the simulator's FIFO
+// lane (O(1) instead of a heap push and pop) and skips the per-link clamp,
+// which is the identity there. Jittered or bandwidth-limited networks use
+// the heap. Dispatch order is the same either way.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +38,8 @@ class LatencyModel {
   virtual Duration sample(Rng& rng) const = 0;
   virtual Duration mean() const = 0;
   virtual std::string describe() const = 0;
+  /// True iff sample() always returns mean() and draws no randomness.
+  virtual bool is_constant() const { return false; }
 };
 
 using LatencyPtr = std::shared_ptr<const LatencyModel>;
@@ -103,6 +112,10 @@ class Network {
 
   sim::Simulator& sim_;
   Config config_;
+  /// Deliveries go on the simulator's FIFO lane, each `lane_latency_` after
+  /// its send (constant latency, no bandwidth term); fixed at construction.
+  bool use_lane_ = false;
+  Duration lane_latency_ = 0;
   Rng rng_;
   NetworkStats stats_;
   /// Last scheduled delivery time per directed link, for FIFO clamping.

@@ -13,49 +13,75 @@ DasScheduler::DasScheduler(Options options) : options_(options) {
 
 void DasScheduler::check_policy_invariants() const {
   DAS_AUDIT(mu_hat_ > 0, "nonpositive speed estimate");
-  DAS_AUDIT(records_.size() == size(), "DAS record count drifted from accounting");
-  DAS_AUDIT(active_.size() + deferred_.size() == records_.size(),
+  const std::size_t live = live_records();
+  DAS_AUDIT(live == size(), "DAS record count drifted from accounting");
+  DAS_AUDIT(active_.size() + deferred_.size() == live,
             "DAS order sets do not partition the records");
-  for (const OrderKey& entry : active_) {
-    const auto it = records_.find(entry.h);
-    DAS_AUDIT(it != records_.end(), "active entry without a record");
-    DAS_AUDIT(!it->second.in_deferred, "deferred record linked in active set");
-    DAS_AUDIT(entry.k == active_key(it->second.op), "stale active ordering key");
-  }
-  for (const OrderKey& entry : deferred_) {
-    const auto it = records_.find(entry.h);
-    DAS_AUDIT(it != records_.end(), "deferred entry without a record");
-    DAS_AUDIT(it->second.in_deferred, "active record linked in deferred set");
-    DAS_AUDIT(entry.k == it->second.op.est_other_completion,
-              "stale deferral expiry key");
-  }
-  std::size_t request_handles = 0;
-  for (const auto& [request, handles] : by_request_) {
-    DAS_AUDIT(!handles.empty(), "empty per-request handle set not pruned");
-    request_handles += handles.size();
-    for (const Handle h : handles) {
-      const auto it = records_.find(h);
-      DAS_AUDIT(it != records_.end(), "per-request index holds a served handle");
-      DAS_AUDIT(it->second.op.request_id == request,
-                "per-request index points at the wrong request");
+  DAS_AUDIT(active_.is_heap() && deferred_.is_heap(),
+            "DAS order heap lost the heap property");
+  DAS_AUDIT(heap_pos_.size() == slab_.size(), "order-heap position index size");
+  // Each heap entry names a live record of its own set at the position the
+  // index holds for it; with the sizes above, the two heaps therefore
+  // partition the live records.
+  for (const bool deferred : {false, true}) {
+    const OrderHeap& heap = deferred ? deferred_ : active_;
+    for (std::size_t i = 0; i < heap.size(); ++i) {
+      const OrderHeap::Entry& entry = heap.entries()[i];
+      DAS_AUDIT(entry.slot < slab_.size() && slab_[entry.slot].serial == entry.serial,
+                "order entry without a record");
+      const Record& rec = slab_[entry.slot];
+      DAS_AUDIT(rec.in_deferred == deferred,
+                "record linked in the wrong order set");
+      DAS_AUDIT(heap_pos_[entry.slot] == i, "order-heap position index out of sync");
+      if (deferred) {
+        DAS_AUDIT(entry.key == rec.op.est_other_completion,
+                  "stale deferral expiry key");
+      } else {
+        DAS_AUDIT(entry.key == active_key(rec.op), "stale active ordering key");
+      }
     }
   }
-  DAS_AUDIT(request_handles == records_.size(),
+  // Slab accounting: the free list names every free slot exactly once.
+  std::vector<char> on_free_list(slab_.size(), 0);
+  for (const Slot slot : free_slots_) {
+    DAS_AUDIT(slot < slab_.size(), "free slot out of the slab");
+    DAS_AUDIT(slab_[slot].serial == kFreeSerial, "live record on the free list");
+    DAS_AUDIT(!on_free_list[slot], "slot freed twice");
+    on_free_list[slot] = 1;
+  }
+  std::size_t request_handles = 0;
+  for (const auto& [request, list] : by_request_) {
+    DAS_AUDIT(list.head != kNoSlot, "empty per-request list not pruned");
+    Slot prev = kNoSlot;
+    for (Slot slot = list.head; slot != kNoSlot; slot = slab_[slot].next_sibling) {
+      DAS_AUDIT(slot < slab_.size() && slab_[slot].serial != kFreeSerial,
+                "per-request index holds a served op");
+      DAS_AUDIT(slab_[slot].prev_sibling == prev, "per-request list links broken");
+      DAS_AUDIT(slab_[slot].op.request_id == request,
+                "per-request index points at the wrong request");
+      DAS_AUDIT(++request_handles <= live, "per-request list cycle");
+      prev = slot;
+    }
+    DAS_AUDIT(list.tail == prev, "per-request list tail out of sync");
+  }
+  DAS_AUDIT(request_handles == live,
             "per-request index does not partition the records");
-  for (const auto& [h, rec] : records_) {
-    DAS_AUDIT(h < next_handle_, "record handle from the future");
+  for (const Record& rec : slab_) {
+    if (rec.serial == kFreeSerial) continue;
+    DAS_AUDIT(rec.serial < next_serial_, "record serial from the future");
     DAS_AUDIT(rec.op.demand_us >= 0, "queued op with negative demand");
     DAS_AUDIT(rec.op.remaining_critical_us >= 0,
               "negative critical-path remaining time");
     DAS_AUDIT(rec.op.total_demand_us >= 0, "negative total remaining demand");
   }
   // Aging must be able to reach every queued op: each record appears in the
-  // fifo exactly once (stale entries for served handles are skipped lazily).
-  std::size_t live = 0;
-  for (const Handle h : fifo_) {
-    if (records_.contains(h)) ++live;
+  // fifo exactly once (stale entries for served ops are skipped lazily).
+  std::size_t fifo_live_count = 0;
+  for (const FifoEntry& f : fifo_) {
+    DAS_AUDIT(f.slot < slab_.size(), "aging fifo entry out of the slab");
+    if (fifo_live(f)) ++fifo_live_count;
   }
-  DAS_AUDIT(live == records_.size(), "aging fifo lost track of queued ops");
+  DAS_AUDIT(fifo_live_count == live, "aging fifo lost track of queued ops");
 }
 
 std::string DasScheduler::name() const {
@@ -96,27 +122,27 @@ double DasScheduler::active_key(const OpContext& op) const {
              : op.remaining_critical_us;
 }
 
-void DasScheduler::place(Handle h, Record& rec, SimTime now) {
+void DasScheduler::place(Slot slot, Record& rec, SimTime now) {
   rec.in_deferred = safe_to_defer(rec.op.est_other_completion, now);
   if (rec.in_deferred) {
     ++total_deferrals_;
     rec.defer_started = now;
-    deferred_.insert(OrderKey{rec.op.est_other_completion, h});
+    deferred_.push({rec.op.est_other_completion, rec.serial, slot}, heap_pos_);
     if (tracer_ != nullptr) {
       tracer_->op_defer(now, rec.op.op_id, rec.op.request_id, tracer_server_,
                         rec.op.est_other_completion);
     }
   } else {
-    active_.insert(OrderKey{active_key(rec.op), h});
+    active_.push({active_key(rec.op), rec.serial, slot}, heap_pos_);
   }
 }
 
-void DasScheduler::unlink(Handle h, Record& rec, SimTime now) {
-  auto& set = rec.in_deferred ? deferred_ : active_;
-  const double key =
-      rec.in_deferred ? rec.op.est_other_completion : active_key(rec.op);
-  const auto erased = set.erase(OrderKey{key, h});
-  DAS_CHECK_MSG(erased == 1, "DAS order-set desync");
+void DasScheduler::unlink(Slot slot, Record& rec, SimTime now) {
+  OrderHeap& heap = rec.in_deferred ? deferred_ : active_;
+  const std::uint32_t pos = heap_pos_[slot];
+  DAS_CHECK_MSG(pos < heap.size() && heap.entries()[pos].slot == slot,
+                "DAS order-set desync");
+  heap.erase(pos, heap_pos_);
   if (rec.in_deferred) {
     rec.op.deferred_wait_us += now - rec.defer_started;
     rec.in_deferred = false;
@@ -124,28 +150,55 @@ void DasScheduler::unlink(Handle h, Record& rec, SimTime now) {
 }
 
 void DasScheduler::enqueue(const OpContext& op, SimTime now) {
-  const Handle h = next_handle_++;
-  Record rec;
+  Slot slot;
+  if (free_slots_.empty()) {
+    DAS_CHECK_MSG(slab_.size() < kNoSlot, "DAS record slab exhausted");
+    slot = static_cast<Slot>(slab_.size());
+    slab_.emplace_back();
+    heap_pos_.push_back(0);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Record& rec = slab_[slot];
   rec.op = op;
   rec.op.enqueued_at = now;
+  rec.serial = next_serial_++;
   note_in(rec.op);
-  place(h, rec, now);
-  fifo_.push_back(h);
-  by_request_[op.request_id].push_back(h);
-  records_.emplace(h, std::move(rec));
+  place(slot, rec, now);
+  fifo_.push_back({slot, rec.serial});
+  SiblingList& siblings = by_request_[op.request_id];
+  rec.prev_sibling = siblings.tail;
+  rec.next_sibling = kNoSlot;
+  if (siblings.tail == kNoSlot) {
+    siblings.head = slot;
+  } else {
+    slab_[siblings.tail].next_sibling = slot;
+  }
+  siblings.tail = slot;
 }
 
-OpContext DasScheduler::finish(Handle h, SimTime now) {
-  auto it = records_.find(h);
-  DAS_CHECK(it != records_.end());
-  unlink(h, it->second, now);
-  OpContext op = std::move(it->second.op);
-  auto by_req = by_request_.find(op.request_id);
-  if (by_req != by_request_.end()) {
-    std::erase(by_req->second, h);
-    if (by_req->second.empty()) by_request_.erase(by_req);
+OpContext DasScheduler::finish(Slot slot, SimTime now) {
+  DAS_CHECK(slot < slab_.size() && slab_[slot].serial != kFreeSerial);
+  Record& rec = slab_[slot];
+  unlink(slot, rec, now);
+  const auto siblings = by_request_.find(rec.op.request_id);
+  DAS_CHECK(siblings != by_request_.end());
+  SiblingList& list = siblings->second;
+  if (rec.prev_sibling == kNoSlot) {
+    list.head = rec.next_sibling;
+  } else {
+    slab_[rec.prev_sibling].next_sibling = rec.next_sibling;
   }
-  records_.erase(it);
+  if (rec.next_sibling == kNoSlot) {
+    list.tail = rec.prev_sibling;
+  } else {
+    slab_[rec.next_sibling].prev_sibling = rec.prev_sibling;
+  }
+  if (list.head == kNoSlot) by_request_.erase(siblings);
+  OpContext op = std::move(rec.op);
+  rec.serial = kFreeSerial;
+  free_slots_.push_back(slot);
   note_out(op);
   return op;
 }
@@ -156,16 +209,14 @@ void DasScheduler::migrate_due(SimTime now) {
   // closed — time passed, or the backlog shrank — it re-enters the runnable
   // set; once the minimum is safe, all later ones are too.
   while (!deferred_.empty()) {
-    const OrderKey front = *deferred_.begin();
-    if (safe_to_defer(front.k, now)) break;
-    deferred_.erase(deferred_.begin());
-    auto it = records_.find(front.h);
-    DAS_CHECK(it != records_.end());
-    Record& rec = it->second;
+    const OrderHeap::Entry front = deferred_.top();
+    if (safe_to_defer(front.key, now)) break;
+    deferred_.erase(0, heap_pos_);
+    Record& rec = slab_[front.slot];
     rec.op.deferred_wait_us += now - rec.defer_started;
     rec.in_deferred = false;
     ++resumes_;
-    active_.insert(OrderKey{active_key(rec.op), front.h});
+    active_.push({active_key(rec.op), rec.serial, front.slot}, heap_pos_);
     if (tracer_ != nullptr)
       tracer_->op_resume(now, rec.op.op_id, rec.op.request_id, tracer_server_);
   }
@@ -175,10 +226,10 @@ OpContext DasScheduler::dequeue(SimTime now) {
   DAS_CHECK(!empty());
   // 1. Aging: the oldest op is served unconditionally past its wait bound.
   if (options_.max_wait_us != kTimeInfinity) {
-    while (!fifo_.empty() && !records_.contains(fifo_.front())) fifo_.pop_front();
+    while (!fifo_.empty() && !fifo_live(fifo_.front())) fifo_.pop_front();
     if (!fifo_.empty()) {
-      const Handle h = fifo_.front();
-      const Record& oldest = records_.at(h);
+      const Slot slot = fifo_.front().slot;
+      const Record& oldest = slab_[slot];
       if (now - oldest.op.enqueued_at > options_.max_wait_us) {
         fifo_.pop_front();
         ++aging_promotions_;
@@ -186,7 +237,7 @@ OpContext DasScheduler::dequeue(SimTime now) {
           tracer_->aging_promotion(now, oldest.op.op_id, oldest.op.request_id,
                                    tracer_server_, now - oldest.op.enqueued_at);
         }
-        return finish(h, now);
+        return finish(slot, now);
       }
     }
   }
@@ -194,24 +245,24 @@ OpContext DasScheduler::dequeue(SimTime now) {
   migrate_due(now);
   // 3. SRPT-first on the runnable set; fall back to the deferred set so the
   // server never idles with work queued (work conservation).
-  if (!active_.empty()) return finish(active_.begin()->h, now);
+  if (!active_.empty()) return finish(active_.top().slot, now);
   DAS_CHECK(!deferred_.empty());
-  return finish(deferred_.begin()->h, now);
+  return finish(deferred_.top().slot, now);
 }
 
 std::vector<OpContext> DasScheduler::drain(SimTime now) {
   std::vector<OpContext> out;
-  out.reserve(records_.size());
+  out.reserve(live_records());
   // Walk the arrival fifo skipping stale entries; the fifo invariantly
-  // covers every live record, so this empties records_, both order sets,
+  // covers every live record, so this empties the slab, both order sets,
   // and the per-request index through the normal finish path.
   while (!fifo_.empty()) {
-    const Handle h = fifo_.front();
+    const FifoEntry f = fifo_.front();
     fifo_.pop_front();
-    if (!records_.contains(h)) continue;
-    out.push_back(finish(h, now));
+    if (!fifo_live(f)) continue;
+    out.push_back(finish(f.slot, now));
   }
-  DAS_CHECK_MSG(records_.empty(), "drain left DAS records behind");
+  DAS_CHECK_MSG(live_records() == 0, "drain left DAS records behind");
   return out;
 }
 
@@ -220,21 +271,20 @@ void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& 
   const auto it = by_request_.find(request);
   if (it == by_request_.end()) return;
   // Re-key every queued op of the request and re-evaluate its deferral.
-  for (const Handle h : it->second) {
-    auto rec_it = records_.find(h);
-    DAS_CHECK(rec_it != records_.end());
-    Record& rec = rec_it->second;
+  for (Slot slot = it->second.head; slot != kNoSlot;
+       slot = slab_[slot].next_sibling) {
+    Record& rec = slab_[slot];
     if (rec.op.remaining_critical_us == update.remaining_critical_us &&
         rec.op.est_other_completion == update.est_other_completion &&
         rec.op.total_demand_us == update.remaining_total_us) {
       continue;
     }
     const double old_key = active_key(rec.op);
-    unlink(h, rec, now);
+    unlink(slot, rec, now);
     rec.op.remaining_critical_us = update.remaining_critical_us;
     rec.op.est_other_completion = update.est_other_completion;
     rec.op.total_demand_us = update.remaining_total_us;
-    place(h, rec, now);
+    place(slot, rec, now);
     ++reranks_;
     if (tracer_ != nullptr) {
       tracer_->op_rerank(now, rec.op.op_id, rec.op.request_id, tracer_server_,

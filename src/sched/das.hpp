@@ -33,15 +33,23 @@
 // Each mechanism switches off independently for the ablation study, and the
 // primary key can be switched to the request's critical-path remaining time
 // (max instead of sum) to quantify why total remaining is the right notion.
+//
+// Storage is built for the progress channel, which re-ranks queued ops at
+// several times the op rate: records live in a dense slab recycled through a
+// free list, the runnable and deferred sets are indexed min-heaps over slab
+// slots (sched/order_heap.hpp) ordered by (key, arrival number), and each
+// request's queued ops form an intrusive list through the slab. Once the
+// structures have grown to their high-water marks, enqueue, dequeue and
+// re-rank allocate nothing.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "sched/order_heap.hpp"
 #include "sched/scheduler_base.hpp"
 
 namespace das::sched {
@@ -103,45 +111,62 @@ class DasScheduler final : public SchedulerBase {
  private:
   friend struct TestCorruptor;
 
-  using Handle = std::uint64_t;
-
-  struct OrderKey {
-    double k;  // active: remaining_critical_us; deferred: est_other_completion
-    Handle h;
-    bool operator<(const OrderKey& o) const {
-      return k != o.k ? k < o.k : h < o.h;
-    }
-  };
+  /// Index of a record in the slab.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = 0xFFFFFFFFu;
+  /// Serial of a slab record that is on the free list.
+  static constexpr std::uint64_t kFreeSerial = ~std::uint64_t{0};
 
   struct Record {
     OpContext op;
+    /// Arrival number: the tie-break of both orders and the aging fifo's
+    /// staleness test. kFreeSerial while the slot is free.
+    std::uint64_t serial = kFreeSerial;
     bool in_deferred = false;
     /// When the current deferral episode began (valid while in_deferred).
     SimTime defer_started = 0;
+    /// Neighbours in the request's list of queued ops (arrival order).
+    Slot prev_sibling = kNoSlot;
+    Slot next_sibling = kNoSlot;
+  };
+
+  /// A request's queued ops, threaded through Record::prev/next_sibling.
+  struct SiblingList {
+    Slot head = kNoSlot;
+    Slot tail = kNoSlot;
+  };
+
+  /// Aging fifo entry; stale once the slot's serial moved on.
+  struct FifoEntry {
+    Slot slot;
+    std::uint64_t serial;
   };
 
   /// Estimated time to drain the entire current backlog at current speed.
   Duration drain_time_us() const;
   double active_key(const OpContext& op) const;
   bool safe_to_defer(SimTime est_other_completion, SimTime now) const;
-  void place(Handle h, Record& rec, SimTime now);
-  void unlink(Handle h, Record& rec, SimTime now);
-  OpContext finish(Handle h, SimTime now);
+  std::size_t live_records() const { return slab_.size() - free_slots_.size(); }
+  bool fifo_live(const FifoEntry& f) const { return slab_[f.slot].serial == f.serial; }
+  void place(Slot slot, Record& rec, SimTime now);
+  void unlink(Slot slot, Record& rec, SimTime now);
+  OpContext finish(Slot slot, SimTime now);
   void migrate_due(SimTime now);
 
   Options options_;
   double mu_hat_ = 1.0;
 
-  FlatMap<Handle, Record> records_;
-  std::set<OrderKey> active_;    // runnable, SRPT-first by critical remaining
-  std::set<OrderKey> deferred_;  // safely deferrable, by deferral expiry
-  std::deque<Handle> fifo_;      // arrival order, for aging
-  /// Handles queued per request, in arrival order. Progress fan-in walks
-  /// this; re-keying one handle never disturbs another's membership, and the
-  /// per-handle outcome is order-independent, so a deterministic vector is
-  /// result-equivalent to the hash set it replaced (and far cheaper).
-  FlatMap<RequestId, std::vector<Handle>> by_request_;
-  Handle next_handle_ = 0;
+  std::vector<Record> slab_;
+  std::vector<Slot> free_slots_;
+  /// Per slot: the record's index in whichever order heap holds it.
+  std::vector<std::uint32_t> heap_pos_;
+  OrderHeap active_;    // runnable, SRPT-first by the active key
+  OrderHeap deferred_;  // safely deferrable, by deferral expiry
+  std::deque<FifoEntry> fifo_;  // arrival order, for aging
+  /// Queued ops per request, in arrival order. Progress fan-in walks this;
+  /// re-keying one op never disturbs another's membership.
+  FlatMap<RequestId, SiblingList> by_request_;
+  std::uint64_t next_serial_ = 0;
   std::uint64_t total_deferrals_ = 0;
   std::uint64_t resumes_ = 0;
   std::uint64_t aging_promotions_ = 0;

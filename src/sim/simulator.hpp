@@ -10,7 +10,15 @@
 // retransmission) keep the queue proportional to the live event count.
 // Compaction preserves the (t, seq) dispatch order exactly.
 //
-// Storage is split for throughput: the heap itself holds 24-byte POD entries
+// Beside the heap sits one FIFO lane: a ring buffer for producers whose event
+// times never decrease in scheduling order — a constant-latency network's
+// deliveries, which are most events of a DAS run. A lane event costs an O(1)
+// append and an O(1) pop instead of two O(log n) sifts. Lane and heap entries
+// share one sequence counter, and each dispatch takes whichever of the lane
+// front and the heap top is smaller by (t, seq), so the lane changes nothing
+// about the dispatch order. Lane events cannot be cancelled.
+//
+// Storage is split for throughput: heap and lane hold 24-byte POD entries
 // {t, seq, slot} (sift operations are raw copies, no callable moves), and
 // callbacks live in a slab of pooled slots recycled through a free list — no
 // per-event allocation once the slab has grown to the high-water mark. A
@@ -90,6 +98,22 @@ class Simulator : public Auditable {
     return schedule_impl(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Schedules `fn` at absolute time `t` (>= now()) on the FIFO lane. Lane
+  /// times must be non-decreasing in call order; a time below the previous
+  /// lane time fails a check. A lane event cannot be cancelled, so no handle
+  /// is returned.
+  void schedule_fifo(SimTime t, EventFn&& fn) {
+    DAS_CHECK(fn != nullptr);
+    DAS_CHECK_MSG(t >= lane_last_t_, "FIFO lane time went backwards");
+    if (lane_size_ == lane_.size()) grow_lane();
+    const std::uint64_t seq = next_seq_;
+    const std::uint32_t slot = occupy(t, std::move(fn));
+    const std::size_t tail = (lane_head_ + lane_size_) & (lane_.size() - 1);
+    lane_[tail] = HeapEntry{t, seq, slot};
+    ++lane_size_;
+    lane_last_t_ = t;
+  }
+
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled
   /// or invalid handle is a harmless no-op (idempotent). A handle is live iff
   /// its slot still carries the same sequence number; fired and cancelled
@@ -100,7 +124,7 @@ class Simulator : public Auditable {
     if (!h.valid()) return;
     if (h.slot_ >= slots_.size() || slots_[h.slot_].seq != h.seq_) return;
     release_slot(h.slot_);
-    --live_;
+    --heap_live_;
     maybe_compact();
   }
 
@@ -114,14 +138,20 @@ class Simulator : public Auditable {
   /// Dispatches at most one event; returns false if the queue was empty.
   bool step();
 
-  bool empty() const { return live_ == 0; }
-  std::size_t pending() const { return live_; }
+  /// Live events, heap and lane together.
+  bool empty() const { return pending() == 0; }
+  std::size_t pending() const { return heap_live_ + lane_size_; }
   std::uint64_t events_dispatched() const { return dispatched_; }
+  /// Subset of events_dispatched() that came off the FIFO lane.
+  std::uint64_t lane_dispatched() const { return lane_dispatched_; }
 
   /// --- lazy-cancel heap compaction ------------------------------------------
-  /// Heap nodes including dead (cancelled, not yet reclaimed) ones; the gap
-  /// versus pending() is what compaction bounds.
+  /// Heap nodes including dead (cancelled, not yet reclaimed) ones; lane
+  /// events are not heap nodes. The gap versus the heap's live events is
+  /// what compaction bounds.
   std::size_t queued_nodes() const { return queue_.size(); }
+  /// Live events in the heap (pending() minus the lane).
+  std::size_t heap_pending() const { return heap_live_; }
   /// Times the heap has been rebuilt from its live nodes.
   std::uint64_t compactions() const { return compactions_; }
   /// Disabling compaction restores pure lazy cancellation (tests use this to
@@ -151,16 +181,19 @@ class Simulator : public Auditable {
   /// Throws AuditError on the first violation.
   void audit_now() const;
 
-  /// Simulator-local invariants: the heap is a heap, no live event is
-  /// scheduled in the past, heap entries and slab slots describe the same
-  /// live set, the free list is consistent with it, and (when compaction is
-  /// enabled) dead nodes never outnumber live ones once the queue is past
+  /// Simulator-local invariants: the heap is a heap, the lane is sorted by
+  /// (t, seq), no live event is scheduled in the past, heap and lane entries
+  /// and slab slots describe the same live set (one entry per occupied
+  /// slot), the free list is consistent with it, and (when compaction is
+  /// enabled) dead heap nodes never outnumber live ones once the heap is past
   /// the compaction floor.
   void check_invariants() const override;
 
  private:
-  /// POD heap node: sift operations copy 24 bytes and never touch the
-  /// callback. `seq` snapshots the slot's sequence number at scheduling
+  friend struct TestCorruptor;
+
+  /// POD heap and lane node: sift operations copy 24 bytes and never touch
+  /// the callback. `seq` snapshots the slot's sequence number at scheduling
   /// time; the entry is dead iff the slot has since moved on.
   struct HeapEntry {
     SimTime t;
@@ -205,8 +238,16 @@ class Simulator : public Auditable {
     free_head_ = slot;
   }
 
+  /// Dispatch order: true iff `a` fires before `b`.
+  static bool precedes(const HeapEntry& a, const HeapEntry& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  }
+
+  /// Claims the next sequence number and a slot for `fn` at time `t`;
+  /// returns the slot. (Returning the whole entry instead measurably slows
+  /// the heap path under gcc.)
   template <typename F>
-  EventHandle schedule_impl(SimTime t, F&& fn) {
+  std::uint32_t occupy(SimTime t, F&& fn) {
     DAS_CHECK_MSG(t >= now_, "cannot schedule into the past");
     const std::uint64_t seq = next_seq_++;
     const std::uint32_t slot = acquire_slot();
@@ -220,29 +261,50 @@ class Simulator : public Auditable {
       throw;
     }
     s.seq = seq;
+    return slot;
+  }
+
+  template <typename F>
+  EventHandle schedule_impl(SimTime t, F&& fn) {
+    const std::uint64_t seq = next_seq_;
+    const std::uint32_t slot = occupy(t, std::forward<F>(fn));
     queue_.push_back(HeapEntry{t, seq, slot});
     std::push_heap(queue_.begin(), queue_.end());
-    ++live_;
+    ++heap_live_;
     // Growth can carry the queue across the compaction floor with a backlog
     // of dead nodes accumulated while it was too small to bother compacting.
     maybe_compact();
     return EventHandle{slot, seq};
   }
 
-  /// Pops the next live event with t <= horizon, moving its callback into
-  /// `fn` and its timestamp into `t_out`. Dead heap entries encountered on
-  /// the way are dropped. Returns false when drained or when the next live
-  /// event lies beyond the horizon (which it peeks without disturbing).
+  /// Doubles the lane's ring (power-of-two capacity), unwrapping it.
+  void grow_lane();
+
+  /// Hands a popped event's time and callback to the dispatcher. The
+  /// callback moves out and the slot is recycled BEFORE it runs: it may
+  /// schedule (growing the slab) or cancel, and a handle to this event is
+  /// already spent.
+  void take(const HeapEntry& e, SimTime& t_out, EventFn& fn) {
+    t_out = e.t;
+    fn = std::move(slots_[e.slot].fn);
+    release_slot(e.slot);
+  }
+
+  /// Pops the next live event — the lane front or the heap top, whichever
+  /// precedes — with t <= horizon, moving its callback into `fn` and its
+  /// timestamp into `t_out`. Dead heap entries encountered on the way are
+  /// dropped. Returns false when drained or when the next live event lies
+  /// beyond the horizon (which it peeks without disturbing).
   bool pop_next(SimTime horizon, SimTime& t_out, EventFn& fn);
 
   /// Rebuilds the heap from its live nodes when dead ones outnumber them.
   /// Called after every operation that can raise the dead fraction (cancel
-  /// and pop), so the dead <= live bound in check_invariants() always holds.
-  /// The threshold test is inline (three loads on the hot path); the rebuild
-  /// itself is out of line.
+  /// and heap pop), so the dead <= live bound in check_invariants() always
+  /// holds. The threshold test is inline (three loads on the hot path); the
+  /// rebuild itself is out of line.
   void maybe_compact() {
     if (!compaction_enabled_ || queue_.size() < kCompactionFloor) return;
-    if ((queue_.size() - live_) * 2 <= queue_.size()) return;
+    if ((queue_.size() - heap_live_) * 2 <= queue_.size()) return;
     compact();
   }
   void compact();
@@ -255,12 +317,20 @@ class Simulator : public Auditable {
   void maybe_audit() const;
 
   std::vector<HeapEntry> queue_;
+  /// Live (uncancelled) entries of queue_.
+  std::size_t heap_live_ = 0;
+  /// The FIFO lane: a ring of lane_size_ entries starting at lane_head_, in
+  /// a buffer whose size is zero or a power of two. Every entry is live.
+  std::vector<HeapEntry> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  SimTime lane_last_t_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
-  std::size_t live_ = 0;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;  // 0 is the invalid-handle sentinel
   std::uint64_t dispatched_ = 0;
+  std::uint64_t lane_dispatched_ = 0;
   std::uint64_t compactions_ = 0;
   bool compaction_enabled_ = true;
   std::vector<const Auditable*> auditables_;

@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "common/flat_map.hpp"
-#include "store/hash_table.hpp"
 
 namespace das::workload {
 

@@ -138,6 +138,46 @@ TEST_F(ClientFixture, EstOtherCompletionExcludesOwnServer) {
   }
 }
 
+TEST_F(ClientFixture, ProgressBoundIsMaxOverOtherServers) {
+  // Each progress update's deferral bound must equal the definition — the
+  // max full estimate over pending ops on servers other than the
+  // destination — whether the maximum is unique or tied, and 0 once the
+  // destination holds every pending op.
+  Client::Params p;
+  p.adaptive = true;
+  p.ewma_alpha = 1.0;          // d_est follows each piggyback exactly
+  p.progress_threshold = 0.0;  // send after every response
+  build(16, p);
+  client->start(1500.0);
+  sim.run();
+  ASSERT_EQ(sent_ops.size(), 16u);
+  std::vector<bool> answered(sent_ops.size(), false);
+  // Piggybacked delays: distinct per server, except that servers 1 and 2
+  // report the same value, so the maximum is tied for a while.
+  const double d_hat[kServers] = {40.0, 90.0, 90.0, 20.0};
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < sent_ops.size(); ++i) {
+    sent_progress.clear();
+    respond(sent_ops[i], d_hat[sent_ops[i].server]);
+    answered[i] = true;
+    for (const SentProgress& update : sent_progress) {
+      SimTime expected = 0;
+      for (std::size_t j = 0; j < sent_ops.size(); ++j) {
+        if (answered[j] || sent_ops[j].server == update.server) continue;
+        const ServerId s = sent_ops[j].server;
+        expected = std::max(expected, sim.now() + p.est_rtt_us +
+                                          client->delay_estimate(s) +
+                                          sent_ops[j].ctx.demand_us /
+                                              client->speed_estimate(s));
+      }
+      EXPECT_EQ(update.update.est_other_completion, expected)
+          << "after response " << i << " to server " << update.server;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 16u);
+}
+
 TEST_F(ClientFixture, RequestCompletesWhenAllOpsRespond) {
   metrics.set_window(0, kTimeInfinity);
   build(4);

@@ -10,6 +10,7 @@
 // points of a realistic workload, not just at the end.
 #include <gtest/gtest.h>
 
+#include "core/cluster.hpp"
 #include "core/experiment.hpp"
 
 namespace das::core {
@@ -115,6 +116,55 @@ INSTANTIATE_TEST_SUITE_P(KeyPolicies, DeterminismBitIdentical,
                            }
                            return name;
                          });
+
+// --- network delivery path ---------------------------------------------------
+// A constant-latency network delivers every message it does not drop through
+// the simulator's FIFO lane; a jittered one keeps its deliveries on the heap.
+// Either way a run must stay deterministic.
+
+struct PathRun {
+  ExperimentResult result;
+  std::uint64_t events = 0;
+  std::uint64_t lane_events = 0;
+};
+
+PathRun run_cluster(const ClusterConfig& cfg) {
+  Cluster cluster{cfg, short_window()};
+  PathRun run;
+  run.result = cluster.run();
+  run.events = cluster.simulator().events_dispatched();
+  run.lane_events = cluster.simulator().lane_dispatched();
+  return run;
+}
+
+TEST(DeliveryPath, ConstantLatencyDeliversEveryMessageOnTheLane) {
+  for (const double loss : {0.0, 0.02}) {
+    ClusterConfig cfg = small_config(sched::Policy::kDas);
+    cfg.msg_loss_probability = loss;
+    if (loss > 0) cfg.retry_timeout_us = 1.0 * kMillisecond;
+    const PathRun a = run_cluster(cfg);
+    EXPECT_GT(a.result.progress_messages, 0u) << "loss " << loss;
+    EXPECT_EQ(a.result.net_messages_dropped > 0, loss > 0) << "loss " << loss;
+    EXPECT_EQ(a.lane_events,
+              a.result.net_messages - a.result.net_messages_dropped)
+        << "loss " << loss;
+    const PathRun b = run_cluster(cfg);
+    expect_bit_identical(a.result, b.result);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.lane_events, b.lane_events);
+  }
+}
+
+TEST(DeliveryPath, JitteredNetworkStaysOnTheHeap) {
+  ClusterConfig cfg = small_config(sched::Policy::kDas);
+  cfg.net_jitter_sigma = 0.3;
+  const PathRun a = run_cluster(cfg);
+  EXPECT_GT(a.result.net_messages, 0u);
+  EXPECT_EQ(a.lane_events, 0u);
+  const PathRun b = run_cluster(cfg);
+  expect_bit_identical(a.result, b.result);
+  EXPECT_EQ(a.events, b.events);
+}
 
 class ContinuousAudit : public ::testing::TestWithParam<sched::Policy> {};
 

@@ -37,15 +37,15 @@ struct TestCorruptor {
 
   static void lose_fifo_entry(DasScheduler& s) { s.fifo_.pop_front(); }
   static void unlink_active(DasScheduler& s) {
-    s.active_.erase(s.active_.begin());
+    s.active_.erase(0, s.heap_pos_);  // the record still claims membership
   }
   static void stale_active_key(DasScheduler& s) {
-    auto node = s.active_.extract(s.active_.begin());
-    node.value().k += 1e9;
-    s.active_.insert(std::move(node));
+    // The last entry is a leaf, so raising its key keeps the heap property:
+    // only the key-freshness audit can catch it.
+    s.active_.entries_.back().key += 1e9;
   }
   static void negate_remaining(DasScheduler& s) {
-    s.records_.begin()->second.op.remaining_critical_us = -1.0;
+    s.slab_.front().op.remaining_critical_us = -1.0;
   }
 
   static void drop_key_index(ReqSrptScheduler& s) {

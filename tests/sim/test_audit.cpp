@@ -8,6 +8,12 @@
 #include "sim/simulator.hpp"
 
 namespace das::sim {
+
+/// White-box corruption hook; friend of the Simulator.
+struct TestCorruptor {
+  static void drop_lane_count(Simulator& sim) { --sim.lane_size_; }
+};
+
 namespace {
 
 class CountingAuditable final : public Auditable {
@@ -91,6 +97,15 @@ TEST(SimulatorAudit, CadenceAppliesToRunUntil) {
   sim.run_until(3.5);  // dispatches events at t = 0, 1, 2, 3
   EXPECT_EQ(sim.audits_run(), 2u);
   EXPECT_EQ(counting.calls, 2);
+}
+
+TEST(SimulatorAudit, CorruptedLaneCountThrows) {
+  Simulator sim;
+  for (int i = 0; i < 4; ++i) sim.schedule_fifo(static_cast<SimTime>(i), [] {});
+  sim.schedule_at(2.0, [] {});
+  EXPECT_NO_THROW(sim.check_invariants());
+  TestCorruptor::drop_lane_count(sim);
+  EXPECT_THROW(sim.check_invariants(), AuditError);
 }
 
 }  // namespace

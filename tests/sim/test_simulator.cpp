@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -286,6 +288,145 @@ TEST(Simulator, CompactionPreservesInterleavedDispatchOrder) {
   const auto without = drive(false);
   EXPECT_FALSE(with.empty());
   EXPECT_EQ(with, without);
+}
+
+// --- the FIFO lane ----------------------------------------------------------
+
+TEST(SimulatorLane, EqualTimesInterleaveWithHeapInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(5.0, [&] { order.push_back(0); });
+  sim.schedule_fifo(5.0, [&] { order.push_back(1); });
+  sim.schedule_at(5.0, [&] { order.push_back(2); });
+  sim.schedule_fifo(5.0, [&] { order.push_back(3); });
+  sim.schedule_at(3.0, [&] { order.push_back(-1); });
+  sim.schedule_fifo(7.0, [&] { order.push_back(5); });
+  sim.schedule_at(7.0, [&] { order.push_back(6); });
+  sim.schedule_at(6.0, [&] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(sim.events_dispatched(), 8u);
+  EXPECT_EQ(sim.lane_dispatched(), 3u);
+}
+
+TEST(SimulatorLane, RandomInterleavingDispatchesInTimeThenScheduleOrder) {
+  // Lane times never decrease; heap times are arbitrary, often tied with the
+  // lane's. Dispatch must follow (t, schedule order) exactly, including for
+  // events scheduled from inside callbacks.
+  Simulator sim;
+  Rng rng{31};
+  struct Fired {
+    SimTime t;
+    int id;
+  };
+  std::vector<Fired> fired;
+  int next_id = 0;
+  SimTime lane_t = 0;
+  const auto schedule_one = [&](auto& self, int depth) -> void {
+    const int id = next_id++;
+    const bool lane = rng.chance(0.6);
+    SimTime t = 0;
+    if (lane) {
+      lane_t = std::max(lane_t, sim.now()) + static_cast<double>(rng.next_below(3));
+      t = lane_t;
+    } else {
+      t = sim.now() + static_cast<double>(rng.next_below(6));
+    }
+    auto fn = [&, id, depth, t] {
+      fired.push_back({sim.now(), id});
+      EXPECT_EQ(sim.now(), t);
+      if (depth < 3 && rng.chance(0.5)) self(self, depth + 1);
+    };
+    if (lane) {
+      sim.schedule_fifo(t, fn);
+    } else {
+      sim.schedule_at(t, fn);
+    }
+  };
+  for (int i = 0; i < 2000; ++i) schedule_one(schedule_one, 0);
+  EXPECT_NO_THROW(sim.check_invariants());
+  sim.run();
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(next_id));
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    ASSERT_LE(fired[i - 1].t, fired[i].t);
+    // Equal times fire in schedule order (ids are issued in schedule order).
+    if (fired[i - 1].t == fired[i].t) {
+      ASSERT_LT(fired[i - 1].id, fired[i].id);
+    }
+  }
+  EXPECT_GT(sim.lane_dispatched(), 0u);
+  EXPECT_LT(sim.lane_dispatched(), sim.events_dispatched());
+}
+
+TEST(SimulatorLane, RunUntilLeavesLaneEventBeyondHorizon) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_fifo(10.0, [&] { order.push_back(1); });
+  sim.schedule_fifo(20.0, [&] { order.push_back(2); });
+  sim.run_until(15.0);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_DOUBLE_EQ(sim.now(), 15.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.heap_pending(), 0u);
+  EXPECT_NO_THROW(sim.check_invariants());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_DOUBLE_EQ(sim.now(), 20.0);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorLane, NonMonotoneLaneTimeThrows) {
+  Simulator sim;
+  sim.schedule_fifo(10.0, [] {});
+  EXPECT_THROW(sim.schedule_fifo(5.0, [] {}), std::logic_error);
+  // The heap still takes any future time.
+  EXPECT_NO_THROW(sim.schedule_at(5.0, [] {}));
+  EXPECT_THROW(sim.schedule_fifo(10.0, EventFn{}), std::logic_error);
+  EXPECT_NO_THROW(sim.check_invariants());
+  EXPECT_EQ(sim.pending(), 2u);
+}
+
+TEST(SimulatorLane, RingGrowsAcrossWrapAround) {
+  // Keep the ring part-full while it wraps, then force growth mid-wrap.
+  Simulator sim;
+  std::vector<int> order;
+  int next = 0;
+  for (int i = 0; i < 40; ++i) {
+    const int id = next++;
+    sim.schedule_fifo(static_cast<double>(id), [&order, id] { order.push_back(id); });
+  }
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(sim.step());
+  for (int i = 0; i < 200; ++i) {
+    const int id = next++;
+    sim.schedule_fifo(static_cast<double>(id), [&order, id] { order.push_back(id); });
+  }
+  EXPECT_NO_THROW(sim.check_invariants());
+  sim.run();
+  ASSERT_EQ(order.size(), 240u);
+  for (int i = 0; i < 240; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(SimulatorLane, CompactionBoundsDeadHeapNodesWhileLaneIsBusy) {
+  Simulator sim;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 5000; ++i) sim.schedule_fifo(static_cast<double>(i), [] {});
+  for (int i = 0; i < 20000; ++i)
+    handles.push_back(sim.schedule_at(i, [] {}));
+  for (int i = 0; i < 20000; ++i)
+    if (i % 100 != 0) sim.cancel(handles[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(sim.heap_pending(), 200u);
+  EXPECT_EQ(sim.pending(), 5200u);
+  // The bound is against the heap's live events, not the lane's.
+  EXPECT_LE(sim.queued_nodes(), 2 * sim.heap_pending() + 64);
+  EXPECT_GT(sim.compactions(), 0u);
+  sim.audit_now();
+  std::uint64_t fired = 0;
+  while (sim.step()) {
+    ++fired;
+    if (fired % 997 == 0) sim.audit_now();
+  }
+  EXPECT_EQ(fired, 5200u);
+  EXPECT_EQ(sim.lane_dispatched(), 5000u);
 }
 
 TEST(Simulator, ManyEventsStressOrdering) {
