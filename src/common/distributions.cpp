@@ -1,6 +1,7 @@
 #include "common/distributions.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <sstream>
@@ -316,6 +317,7 @@ IntDistPtr make_discrete(std::vector<std::uint32_t> values, std::vector<double> 
 
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   DAS_CHECK(n >= 1);
+  DAS_CHECK(n < (std::uint64_t{1} << 32));
   DAS_CHECK(theta >= 0);
   cdf_.resize(n);
   double acc = 0;
@@ -326,12 +328,26 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta) : n_(n), theta_(thet
   norm_ = acc;
   for (auto& c : cdf_) c /= norm_;
   cdf_.back() = 1.0;
+
+  // About four ranks per bucket; k / B is exact because B is a power of two.
+  const std::uint64_t buckets = std::bit_ceil(std::max<std::uint64_t>(1, n / 4));
+  const double width = 1.0 / static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  std::uint32_t rank = 0;
+  for (std::uint64_t k = 0; k <= buckets; ++k) {
+    const double edge = static_cast<double>(k) * width;
+    while (cdf_[rank] < edge) ++rank;  // terminates: cdf_.back() == 1.0
+    guide_[k] = rank;
+  }
 }
 
-std::uint64_t ZipfGenerator::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
+std::uint64_t ZipfGenerator::rank_at(double u) const {
+  // u * B is exact (B is a power of two), so bucket k satisfies
+  // k/B <= u < (k+1)/B and the answer lies in [guide_[k], guide_[k+1]].
+  const auto k = static_cast<std::size_t>(u * static_cast<double>(buckets()));
+  const double* first = cdf_.data() + guide_[k];
+  const double* last = cdf_.data() + guide_[k + 1];
+  return static_cast<std::uint64_t>(std::lower_bound(first, last, u) - cdf_.data());
 }
 
 double ZipfGenerator::pmf(std::uint64_t rank) const {

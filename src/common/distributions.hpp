@@ -75,23 +75,36 @@ IntDistPtr make_bimodal(std::uint32_t small, std::uint32_t large, double p_large
 IntDistPtr make_discrete(std::vector<std::uint32_t> values, std::vector<double> weights);
 
 /// Zipf sampler over ranks {0..n-1}: rank 0 is the most popular. Exact
-/// inverse-CDF sampling over a precomputed table; O(n) setup, O(log n) draw.
+/// inverse-CDF sampling over a precomputed table; O(n) setup, O(1) expected
+/// draw. A guide table (Chen & Asau's indexed search) over B buckets narrows
+/// each lookup to the CDF entries of one bucket; B is a power of two, so u*B
+/// and k/B are exact and the result is exactly the full-range lower_bound.
 /// theta = 0 degenerates to uniform.
 class ZipfGenerator {
  public:
   ZipfGenerator(std::uint64_t n, double theta);
 
-  std::uint64_t sample(Rng& rng) const;
+  std::uint64_t sample(Rng& rng) const { return rank_at(rng.next_double()); }
+  /// The rank a uniform draw `u` in [0, 1) maps to: the first rank whose
+  /// cumulative probability is >= u.
+  std::uint64_t rank_at(double u) const;
   std::uint64_t universe() const { return n_; }
   double theta() const { return theta_; }
   /// P(rank = r).
   double pmf(std::uint64_t rank) const;
+  /// Cumulative probabilities by rank (size n, last entry exactly 1).
+  const std::vector<double>& cdf() const { return cdf_; }
+  /// Number of guide-table buckets (a power of two).
+  std::size_t buckets() const { return guide_.size() - 1; }
 
  private:
   std::uint64_t n_;
   double theta_;
   double norm_;                 // generalized harmonic H_{n,theta}
   std::vector<double> cdf_;     // cumulative probabilities, size n
+  /// guide_[k] = first rank with cdf >= k / buckets(), for k = 0..buckets();
+  /// the answer for any u in [k/B, (k+1)/B) lies in [guide_[k], guide_[k+1]].
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace das

@@ -182,12 +182,11 @@ select::LearnedView Client::learned_view() const {
 
 ServerId Client::pick_server(KeyId key, double demand) {
   if (params_.replication <= 1) return partitioner_.server_for(key);
-  const std::vector<ServerId> replicas =
-      partitioner_.replicas_for(key, params_.replication);
+  partitioner_.replicas_into(key, params_.replication, replica_scratch_);
   // The selector draws (if it draws at all) from the client's own workload
   // stream — exactly the pre-layer behaviour, so legacy modes stay
   // bit-identical (pinned by GoldenResults.PinnedSelectionGridIsBitExact).
-  return selector_->pick(replicas, learned_view(),
+  return selector_->pick(replica_scratch_, learned_view(),
                          {demand, key, sim_.now()}, rng_);
 }
 
@@ -200,7 +199,8 @@ void Client::generate_request(std::size_t tenant) {
   // key at its chosen replica), a single-key write-all PUT (one op per
   // replica), or a read-modify-write (write-all whose per-replica demand
   // covers reading the old value plus writing the new one).
-  std::vector<PlannedOp> plan;
+  std::vector<PlannedOp>& plan = plan_scratch_;
+  plan.clear();
   bool is_write = false;
   bool is_rmw = false;
   if (stream.has_mix) {
@@ -234,14 +234,19 @@ void Client::generate_request(std::size_t tenant) {
       recorder_->records.push_back(
           {now, workload::ReplayOp::kWrite, key, new_size});
     }
-    for (const ServerId server :
-         partitioner_.replicas_for(key, std::max<std::size_t>(params_.replication, 1))) {
+    partitioner_.replicas_into(key, std::max<std::size_t>(params_.replication, 1),
+                               replica_scratch_);
+    for (const ServerId server : replica_scratch_) {
       plan.emplace_back(key, server, demand, true, new_size);
     }
   } else {
     const workload::MultigetSpec spec = stream.generator->generate(rng, now);
     DAS_CHECK(!spec.keys.empty());
     plan.reserve(spec.keys.size());
+    // The catalogue is far larger than cache and the keys are scattered over
+    // it: start every key's size load up front so the misses overlap instead
+    // of arriving one per loop iteration.
+    for (const KeyId key : spec.keys) __builtin_prefetch(&key_sizes_[key]);
     for (const KeyId key : spec.keys) {
       const double demand = op_demand_us(key);
       if (recorder_ != nullptr) {
@@ -259,7 +264,8 @@ void Client::generate_replay_request(std::size_t tenant, std::size_t index) {
   const workload::ReplayRecord& rec = tenants_[tenant].replay->records[index];
   DAS_CHECK_MSG(rec.key < key_sizes_.size(),
                 "replay record references a key outside the keyspace");
-  std::vector<PlannedOp> plan;
+  std::vector<PlannedOp>& plan = plan_scratch_;
+  plan.clear();
   if (rec.op == workload::ReplayOp::kWrite) {
     const Bytes new_size = rec.size_bytes > 0 ? rec.size_bytes : key_sizes_[rec.key];
     key_sizes_[rec.key] = new_size;

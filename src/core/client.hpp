@@ -328,6 +328,10 @@ class Client {
   static constexpr std::uint32_t kUntouched = 0xFFFFFFFFu;
   std::vector<ServerAgg> server_scratch_;
   std::vector<std::uint32_t> scratch_index_;
+  /// Planning scratch, likewise reused: the ops of the request being built
+  /// and the replica set of the key being placed.
+  std::vector<PlannedOp> plan_scratch_;
+  std::vector<ServerId> replica_scratch_;
   /// The replica-selection strategy (src/select); shared by fresh picks,
   /// hedges and failovers so their ranking logic cannot diverge again.
   std::unique_ptr<select::ReplicaSelector> selector_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "core/wire.hpp"
@@ -154,14 +155,9 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   for (const auto& server : servers_) sim_.add_auditable(server.get());
   sim_.set_audit_cadence(config_.audit_every_events);
 
-  // Populate every key on its replica set (primary-only when replication=1).
   const std::size_t replication =
       std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
-  for (std::uint64_t key = 0; key < universe; ++key) {
-    for (const ServerId s : partitioner_->replicas_for(key, replication)) {
-      servers_[s]->populate(key, key_sizes_[key]);
-    }
-  }
+  populate_servers(universe, replication);
 
   // Response routing: server -> network -> client.
   for (auto& server : servers_) {
@@ -313,6 +309,44 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   // The breakdown uses the same measurement window as the metrics.
   breakdown_.set_window(window_.warmup_us, window_.horizon());
   breakdown_.set_retain_cap(config_.breakdown_retain_requests);
+}
+
+void Cluster::populate_servers(std::uint64_t universe, std::size_t replication) {
+  // Every key lives on its replica set (primary-only when replication=1). A
+  // stable counting sort buckets the keys by server, so each server still
+  // receives its keys in ascending order; each store is then presized once
+  // and filled before the next, instead of growing all of them round-robin.
+  // Placement is computed twice (count, then scatter) rather than stored:
+  // it is cheap, and a key-major placement array would only add to the
+  // memory peak while the stores fill.
+  const std::size_t servers = config_.num_servers;
+  std::vector<ServerId> replicas;
+  const auto place = [&](std::uint64_t key) -> const std::vector<ServerId>& {
+    if (replication == 1) {
+      replicas.assign(1, partitioner_->server_for(key));
+    } else {
+      partitioner_->replicas_into(key, replication, replicas);
+    }
+    return replicas;
+  };
+  std::vector<std::size_t> bucket_begin(servers + 1, 0);
+  for (std::uint64_t key = 0; key < universe; ++key) {
+    for (const ServerId s : place(key)) ++bucket_begin[s + 1];
+  }
+  std::partial_sum(bucket_begin.begin(), bucket_begin.end(), bucket_begin.begin());
+
+  std::vector<KeyId> bucketed(bucket_begin.back());
+  std::vector<std::size_t> cursor(bucket_begin.begin(), bucket_begin.end() - 1);
+  for (std::uint64_t key = 0; key < universe; ++key) {
+    for (const ServerId s : place(key)) bucketed[cursor[s]++] = key;
+  }
+  for (std::size_t s = 0; s < servers; ++s) {
+    Server& server = *servers_[s];
+    server.reserve_storage(bucket_begin[s + 1] - bucket_begin[s]);
+    for (std::size_t i = bucket_begin[s]; i < bucket_begin[s + 1]; ++i) {
+      server.populate(bucketed[i], key_sizes_[bucketed[i]]);
+    }
+  }
 }
 
 double Cluster::derived_request_rate() const {

@@ -71,6 +71,10 @@ class Cluster {
   /// synthetic tenants (replay tenants pace themselves off their trace).
   double derived_tenant_request_rate() const;
 
+  /// Loads every key of the `universe` onto its `replication` replicas, one
+  /// server at a time.
+  void populate_servers(std::uint64_t universe, std::size_t replication);
+
   /// Executes one scripted fault event (run() schedules one call per
   /// FaultPlan entry) and mirrors it into the trace as an instant event.
   void apply_fault(const fault::FaultEvent& event);

@@ -100,6 +100,8 @@ class Server : public Auditable {
 
   /// Preloads a key (cluster initialisation, before time starts).
   void populate(KeyId key, Bytes size);
+  /// Presizes the store for `keys` keys ahead of populating them.
+  void reserve_storage(std::size_t keys) { storage_->reserve(keys); }
 
   /// An operation message arrived from the network.
   void receive_op(const sched::OpContext& op);

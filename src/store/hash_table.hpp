@@ -43,8 +43,16 @@ class RobinHoodMap {
 
   /// Inserts or overwrites; returns true if the key was newly inserted.
   bool put(std::uint64_t key, V value) {
-    if ((size_ + 1) * 8 > slots_.size() * 7) grow();  // keep load <= 7/8
+    if ((size_ + 1) * 8 > slots_.size() * 7) rehash(slots_.size() * 2);  // load <= 7/8
     return insert_slot(key, std::move(value));
+  }
+
+  /// Grows (never shrinks) to the capacity that repeated put() would reach
+  /// holding `count` keys, so inserting up to `count` keys does not rehash.
+  void reserve(std::size_t count) {
+    std::size_t cap = slots_.size();
+    while (count * 8 > cap * 7) cap <<= 1;
+    if (cap != slots_.size()) rehash(cap);
   }
 
   /// Pointer to the value, or nullptr. Stable only until the next mutation.
@@ -157,9 +165,9 @@ class RobinHoodMap {
     }
   }
 
-  void grow() {
+  void rehash(std::size_t capacity) {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
+    slots_.assign(capacity, Slot{});
     size_ = 0;
     for (auto& s : old)
       if (s.occupied) insert_slot(s.key, std::move(s.value));

@@ -48,6 +48,8 @@ class LogStructuredEngine final : public KvStore {
   bool erase(KeyId key) override;
   std::size_t key_count() const override { return live_keys_; }
   const StorageStats& stats() const override { return stats_; }
+  /// No-op: segments fill and seal at their fixed capacity regardless.
+  void reserve(std::size_t /*keys*/) override {}
 
   const LogEngineStats& log_stats() const { return log_stats_; }
   std::size_t segment_count() const { return sealed_.size() + 1; }

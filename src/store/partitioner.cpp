@@ -21,14 +21,14 @@ class ModuloPartitioner final : public Partitioner {
     // Mix first: raw key % N correlates with generator patterns.
     return static_cast<ServerId>(mix_key(key) % servers_);
   }
-  std::vector<ServerId> replicas_for(KeyId key, std::size_t count) const override {
+  void replicas_into(KeyId key, std::size_t count,
+                     std::vector<ServerId>& out) const override {
     count = std::min(count, servers_);
-    std::vector<ServerId> out;
+    out.clear();
     out.reserve(count);
     const ServerId primary = server_for(key);
     for (std::size_t i = 0; i < count; ++i)
       out.push_back(static_cast<ServerId>((primary + i) % servers_));
-    return out;
   }
   std::size_t server_count() const override { return servers_; }
   std::string describe() const override {
@@ -71,10 +71,10 @@ ServerId ConsistentHashRing::server_for(KeyId key) const {
   return ring_[lower_point(mix_key(key))].server;
 }
 
-std::vector<ServerId> ConsistentHashRing::replicas_for(KeyId key,
-                                                       std::size_t count) const {
+void ConsistentHashRing::replicas_into(KeyId key, std::size_t count,
+                                       std::vector<ServerId>& out) const {
   count = std::min(count, servers_);
-  std::vector<ServerId> out;
+  out.clear();
   out.reserve(count);
   std::size_t idx = lower_point(mix_key(key));
   // Walk the ring clockwise collecting distinct servers.
@@ -82,7 +82,6 @@ std::vector<ServerId> ConsistentHashRing::replicas_for(KeyId key,
     const ServerId s = ring_[(idx + steps) % ring_.size()].server;
     if (std::find(out.begin(), out.end(), s) == out.end()) out.push_back(s);
   }
-  return out;
 }
 
 std::string ConsistentHashRing::describe() const {

@@ -24,7 +24,15 @@ class Partitioner {
   virtual ServerId server_for(KeyId key) const = 0;
   /// First `count` distinct servers in placement preference order (primary
   /// first). count is clamped to the cluster size.
-  virtual std::vector<ServerId> replicas_for(KeyId key, std::size_t count) const = 0;
+  std::vector<ServerId> replicas_for(KeyId key, std::size_t count) const {
+    std::vector<ServerId> out;
+    replicas_into(key, count, out);
+    return out;
+  }
+  /// replicas_for written into `out` (cleared first), reusing its capacity so
+  /// hot paths place keys without allocating.
+  virtual void replicas_into(KeyId key, std::size_t count,
+                             std::vector<ServerId>& out) const = 0;
   virtual std::size_t server_count() const = 0;
   virtual std::string describe() const = 0;
 };
@@ -42,7 +50,8 @@ class ConsistentHashRing final : public Partitioner {
                      std::uint64_t seed = 0x5EED);
 
   ServerId server_for(KeyId key) const override;
-  std::vector<ServerId> replicas_for(KeyId key, std::size_t count) const override;
+  void replicas_into(KeyId key, std::size_t count,
+                     std::vector<ServerId>& out) const override;
   std::size_t server_count() const override { return servers_; }
   std::string describe() const override;
 

@@ -57,6 +57,10 @@ class KvStore {
 
   virtual std::size_t key_count() const = 0;
   virtual const StorageStats& stats() const = 0;
+
+  /// Capacity hint: make room for `keys` keys in total so bulk loading them
+  /// does not rehash. Never changes contents or stats.
+  virtual void reserve(std::size_t keys) = 0;
 };
 
 /// Hash-table engine: Robin-Hood open addressing, O(1) everything, values
@@ -71,6 +75,7 @@ class StorageEngine final : public KvStore {
   bool erase(KeyId key) override;
   std::size_t key_count() const override { return table_.size(); }
   const StorageStats& stats() const override { return stats_; }
+  void reserve(std::size_t keys) override { table_.reserve(keys); }
 
  private:
   RobinHoodMap<ValueRecord> table_;

@@ -93,8 +93,19 @@ MultigetSpec MultigetGenerator::generate(Rng& rng, SimTime now) const {
   const auto want = static_cast<std::size_t>(want64);
   MultigetSpec spec;
   spec.keys.reserve(want);
+  // Fan-outs below this dedupe by scanning the keys drawn so far: a handful of
+  // cache-resident compares beats building a hash set per request. Either
+  // membership test makes the same accept/reject decisions.
+  constexpr std::size_t kScanDedupeBelow = 32;
+  const bool use_set = want >= kScanDedupeBelow;
   FlatSet<KeyId> seen;  // membership only, never iterated
-  seen.reserve(want * 2);
+  if (use_set) seen.reserve(want * 2);
+  const auto add_if_new = [&](KeyId key) {
+    const bool fresh = use_set ? seen.insert(key)
+                               : std::find(spec.keys.begin(), spec.keys.end(), key) ==
+                                     spec.keys.end();
+    if (fresh) spec.keys.push_back(key);
+  };
   // Rejection-sample distinct keys; bounded because want <= universe. After a
   // generous number of misses (heavy skew + large fan-out), fall back to
   // scanning ranks in popularity order, which always terminates.
@@ -102,13 +113,11 @@ MultigetSpec MultigetGenerator::generate(Rng& rng, SimTime now) const {
   const std::size_t max_attempts = 64 * want + 64;
   while (spec.keys.size() < want && attempts < max_attempts) {
     ++attempts;
-    const KeyId key = sample_key(rng, now);
-    if (seen.insert(key)) spec.keys.push_back(key);
+    add_if_new(sample_key(rng, now));
   }
   for (std::uint64_t rank = 0; spec.keys.size() < want; ++rank) {
     DAS_CHECK(rank < config_.key_universe);
-    const KeyId key = key_for_rank_at(rank, now);
-    if (seen.insert(key)) spec.keys.push_back(key);
+    add_if_new(key_for_rank_at(rank, now));
   }
   return spec;
 }

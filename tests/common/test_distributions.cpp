@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <ostream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 namespace das {
 namespace {
@@ -213,6 +217,78 @@ TEST(ZipfGenerator, SingletonUniverse) {
   Rng rng{19};
   for (int i = 0; i < 100; ++i) EXPECT_EQ(gen.sample(rng), 0u);
   EXPECT_DOUBLE_EQ(gen.pmf(0), 1.0);
+}
+
+// The guide-table sampler must be exactly the full-range inverse CDF: the
+// first rank whose cumulative probability is >= u, for every u in [0, 1).
+std::uint64_t full_range_rank(const ZipfGenerator& gen, double u) {
+  const std::vector<double>& cdf = gen.cdf();
+  return static_cast<std::uint64_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                                    cdf.begin());
+}
+
+class ZipfGuideExactness
+    : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>> {};
+
+TEST_P(ZipfGuideExactness, RankAtMatchesFullRangeLowerBound) {
+  const auto [theta, n] = GetParam();
+  const ZipfGenerator gen{n, theta};
+  const double last_u = 1.0 - 0x1.0p-53;  // the largest draw next_double yields
+  const auto check = [&](double u) {
+    if (u < 0.0 || u > last_u) return;
+    ASSERT_EQ(gen.rank_at(u), full_range_rank(gen, u)) << "u = " << u;
+  };
+  check(0.0);
+  check(last_u);
+  // Every bucket edge k/B and its neighbours.
+  const auto buckets = static_cast<double>(gen.buckets());
+  for (std::size_t k = 0; k < gen.buckets(); ++k) {
+    const double edge = static_cast<double>(k) / buckets;
+    check(edge);
+    check(std::nextafter(edge, 0.0));
+    check(std::nextafter(edge, 1.0));
+  }
+  // Every CDF value and its neighbours: where lower_bound changes its answer.
+  for (const double c : gen.cdf()) {
+    check(c);
+    check(std::nextafter(c, 0.0));
+    check(std::nextafter(c, 1.0));
+  }
+}
+
+TEST_P(ZipfGuideExactness, SeededDrawsMatchFullRangeLowerBound) {
+  const auto [theta, n] = GetParam();
+  const ZipfGenerator gen{n, theta};
+  // A million draws at the benchmark-sized universe, fewer elsewhere.
+  const int draws = n == 64000 ? 1000000 : 20000;
+  Rng sampled{0x21FF + n};
+  Rng reference = sampled;
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(gen.sample(sampled), full_range_rank(gen, reference.next_double()))
+        << "draw " << i;
+  }
+  // One uniform per draw, nothing more: the streams stay in lockstep.
+  EXPECT_EQ(sampled.next_u64(), reference.next_u64());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThetaByUniverse, ZipfGuideExactness,
+    ::testing::Combine(::testing::Values(0.0, 0.5, 0.99, 1.5, 3.0),
+                       ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
+                                         std::uint64_t{3}, std::uint64_t{5},
+                                         std::uint64_t{1000}, std::uint64_t{4097},
+                                         std::uint64_t{64000})),
+    [](const auto& param_info) {
+      const double theta = std::get<0>(param_info.param);
+      return "theta" + std::to_string(static_cast<int>(theta * 100)) + "_n" +
+             std::to_string(std::get<1>(param_info.param));
+    });
+
+TEST(ZipfGenerator, GuideHasAboutFourRanksPerPowerOfTwoBucket) {
+  EXPECT_EQ(ZipfGenerator(1, 0.99).buckets(), 1u);
+  EXPECT_EQ(ZipfGenerator(5, 0.99).buckets(), 1u);
+  EXPECT_EQ(ZipfGenerator(4097, 0.99).buckets(), 1024u);
+  EXPECT_EQ(ZipfGenerator(64000, 0.99).buckets(), 16384u);
 }
 
 // Property sweep: every integer family's analytic mean matches Monte Carlo.

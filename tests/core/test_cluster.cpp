@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "workload/registry.hpp"
 #include "workload/replay.hpp"
@@ -29,6 +34,64 @@ RunWindow small_window() {
   w.measure_us = 30.0 * kMillisecond;
   return w;
 }
+
+// Construction loads every key onto exactly its replica set, once, at its
+// catalogue size — whatever the placement, replication factor or engine.
+struct PopulationCase {
+  const char* name;
+  std::size_t ring_vnodes;  // 0 = modulo placement
+  std::size_t replication;
+  bool log_structured;
+};
+
+void PrintTo(const PopulationCase& c, std::ostream* os) { *os << c.name; }
+
+class ClusterPopulation : public ::testing::TestWithParam<PopulationCase> {};
+
+TEST_P(ClusterPopulation, EachServerHoldsExactlyItsReplicatedKeys) {
+  const PopulationCase& c = GetParam();
+  auto cfg = small_config();
+  cfg.ring_vnodes = c.ring_vnodes;
+  cfg.replication = c.replication;
+  cfg.log_structured_storage = c.log_structured;
+  Cluster cluster{cfg, small_window()};
+  const std::vector<Bytes>& sizes = cluster.key_sizes();
+  std::vector<std::size_t> expected(cluster.server_count(), 0);
+  for (KeyId key = 0; key < sizes.size(); ++key) {
+    const std::vector<ServerId> replicas =
+        cluster.partitioner().replicas_for(key, c.replication);
+    ASSERT_EQ(replicas.size(), c.replication);
+    for (std::size_t s = 0; s < cluster.server_count(); ++s) {
+      const store::KvStore& store = cluster.server(s).storage();
+      const store::ValueRecord* rec = store.peek(key);
+      const bool holds = std::find(replicas.begin(), replicas.end(),
+                                   static_cast<ServerId>(s)) != replicas.end();
+      ASSERT_EQ(rec != nullptr, holds) << "key " << key << " server " << s;
+      if (holds) {
+        ++expected[s];
+        EXPECT_EQ(rec->size, sizes[key]);
+        EXPECT_EQ(rec->version, 1u);
+      }
+    }
+  }
+  for (std::size_t s = 0; s < cluster.server_count(); ++s) {
+    const store::KvStore& store = cluster.server(s).storage();
+    EXPECT_EQ(store.key_count(), expected[s]);
+    EXPECT_EQ(store.stats().inserts, store.key_count());
+    EXPECT_EQ(store.stats().updates, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlacementByReplication, ClusterPopulation,
+    ::testing::Values(PopulationCase{"modulo_r1", 0, 1, false},
+                      PopulationCase{"modulo_r2", 0, 2, false},
+                      PopulationCase{"modulo_r3", 0, 3, false},
+                      PopulationCase{"ring_r1", 16, 1, false},
+                      PopulationCase{"ring_r2", 16, 2, false},
+                      PopulationCase{"ring_r3", 16, 3, false},
+                      PopulationCase{"ring_r2_log", 16, 2, true}),
+    [](const auto& param_info) { return std::string{param_info.param.name}; });
 
 TEST(Cluster, ConservesRequestsAndOps) {
   Cluster cluster{small_config(), small_window()};

@@ -65,6 +65,23 @@ TEST(RobinHoodMap, GrowsPastInitialCapacity) {
   }
 }
 
+TEST(RobinHoodMap, ReserveReachesTheCapacityPutsWouldGrowTo) {
+  for (const std::uint64_t count : {0u, 1u, 14u, 15u, 1000u, 1792u, 1793u}) {
+    RobinHoodMap<int> grown;
+    for (std::uint64_t k = 0; k < count; ++k) grown.put(k, 1);
+    RobinHoodMap<int> reserved;
+    reserved.reserve(count);
+    const std::size_t capacity = reserved.capacity();
+    EXPECT_EQ(capacity, grown.capacity()) << count;
+    for (std::uint64_t k = 0; k < count; ++k) reserved.put(k, 2);
+    EXPECT_EQ(reserved.capacity(), capacity) << count;  // no rehash on the way
+    EXPECT_EQ(reserved.size(), count);
+    reserved.reserve(count / 2);  // never shrinks
+    EXPECT_EQ(reserved.capacity(), capacity);
+    for (std::uint64_t k = 0; k < count; ++k) ASSERT_EQ(*reserved.find(k), 2) << k;
+  }
+}
+
 TEST(RobinHoodMap, LoadFactorStaysBounded) {
   RobinHoodMap<int> map;
   for (std::uint64_t k = 0; k < 10000; ++k) map.put(k, 1);

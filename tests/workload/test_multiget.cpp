@@ -6,7 +6,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "common/flat_map.hpp"
 
 namespace das::workload {
 namespace {
@@ -139,6 +144,67 @@ TEST(MultigetGenerator, DeterministicForSameRngSeed) {
   Rng a{9}, b{9};
   for (int i = 0; i < 200; ++i) ASSERT_EQ(gen.generate(a).keys, gen.generate(b).keys);
 }
+
+// The set-based generate() that predates the scan cutover, kept as the
+// reference: every key draw, accept/reject decision and rank-scan fallback
+// step of generate() must match it.
+std::vector<KeyId> reference_generate(const MultigetGenerator& gen,
+                                      const IntDistribution& fanout, Rng& rng) {
+  const auto want = static_cast<std::size_t>(
+      std::min<std::uint64_t>(fanout.sample(rng), gen.key_universe()));
+  std::vector<KeyId> keys;
+  FlatSet<KeyId> seen;
+  std::size_t attempts = 0;
+  const std::size_t max_attempts = 64 * want + 64;
+  while (keys.size() < want && attempts < max_attempts) {
+    ++attempts;
+    const KeyId key = gen.sample_key(rng);
+    if (seen.insert(key)) keys.push_back(key);
+  }
+  for (std::uint64_t rank = 0; keys.size() < want; ++rank) {
+    const KeyId key = gen.key_for_rank(rank);
+    if (seen.insert(key)) keys.push_back(key);
+  }
+  return keys;
+}
+
+struct CutoverCase {
+  const char* name;
+  std::uint64_t universe;
+  double theta;
+  std::uint32_t fanout;
+};
+
+void PrintTo(const CutoverCase& c, std::ostream* os) { *os << c.name; }
+
+class GeneratorCutover : public ::testing::TestWithParam<CutoverCase> {};
+
+TEST_P(GeneratorCutover, MatchesSetBasedReference) {
+  const CutoverCase& c = GetParam();
+  const IntDistPtr fanout = make_fixed_int(c.fanout);
+  const auto gen = make_gen(c.universe, c.theta, fanout);
+  Rng rng{0xC07};
+  Rng reference = rng;
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(gen.generate(rng).keys, reference_generate(gen, *fanout, reference))
+        << "request " << i;
+  }
+  EXPECT_EQ(rng.next_u64(), reference.next_u64());
+}
+
+// Fan-outs straddle the cutover at 32; the theta = 3 cases exhaust the
+// rejection budget on most requests and finish in the rank scan, on the
+// scan-dedupe side (16 of 16 keys) and the set side (64 of 64).
+INSTANTIATE_TEST_SUITE_P(
+    FanoutsAndSkew, GeneratorCutover,
+    ::testing::Values(CutoverCase{"fanout1", 1000, 0.99, 1},
+                      CutoverCase{"fanout31", 1000, 0.99, 31},
+                      CutoverCase{"fanout32", 1000, 0.99, 32},
+                      CutoverCase{"fanout33", 1000, 0.99, 33},
+                      CutoverCase{"fanout64", 1000, 0.99, 64},
+                      CutoverCase{"skew_scan_side", 16, 3.0, 16},
+                      CutoverCase{"skew_set_side", 64, 3.0, 64}),
+    [](const auto& param_info) { return std::string{param_info.param.name}; });
 
 }  // namespace
 }  // namespace das::workload
