@@ -1,9 +1,10 @@
 // E15 (extension) — Is non-preemptive service a real limitation? The paper
 // (like production stores) serves operations to completion. This bench
 // quantifies what preempt-resume service would buy: a large win in the
-// classic single-key setting (textbook SRPT), but NOT in the fork-join
-// multiget setting, where preempting on request totals postpones
-// nearly-finished operations that would have completed their requests.
+// classic single-key setting (textbook SRPT), but only a few percent in the
+// fork-join multiget setting, where a request waits for its slowest
+// operation and one operation jumping ahead on one server rarely finishes
+// its request sooner.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {

@@ -41,7 +41,7 @@ namespace detail {
 }  // namespace detail
 
 /// Implemented by every component with auditable internal state: schedulers,
-/// KeyedQueue, Server, and the Simulator itself. check_invariants() is const,
+/// Server, and the Simulator itself. check_invariants() is const,
 /// has no side effects, and throws AuditError on the first violation.
 class Auditable {
  public:

@@ -1,5 +1,8 @@
 #include "sched/basic_policies.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace das::sched {
 
 void FcfsScheduler::check_policy_invariants() const {
@@ -19,14 +22,15 @@ void RandomScheduler::check_policy_invariants() const {
   }
 }
 
-void SjfScheduler::check_policy_invariants() const {
-  DAS_AUDIT(queue_.size() == size(), "SJF queue size drifted from accounting");
-  queue_.check_invariants();
-}
-
-void EdfScheduler::check_policy_invariants() const {
-  DAS_AUDIT(queue_.size() == size(), "EDF queue size drifted from accounting");
-  queue_.check_invariants();
+void FrozenKeyScheduler::check_policy_invariants() const {
+  DAS_AUDIT(heap_.size() == size(), name_ + " queue size drifted from accounting");
+  DAS_AUDIT(std::is_heap(heap_.begin(), heap_.end(), later),
+            name_ + " queue lost the heap order");
+  for (const Entry& entry : heap_) {
+    DAS_AUDIT(entry.op.demand_us >= 0, "queued op with negative demand");
+    DAS_AUDIT(entry.key == entry.op.*key_, name_ + " key drifted from its op");
+    DAS_AUDIT(entry.arrival < next_arrival_, name_ + " arrival number from the future");
+  }
 }
 
 void FcfsScheduler::enqueue(const OpContext& op, SimTime now) {
@@ -85,51 +89,30 @@ std::vector<OpContext> RandomScheduler::drain(SimTime) {
   return out;
 }
 
-void SjfScheduler::enqueue(const OpContext& op, SimTime now) {
-  OpContext copy = op;
-  copy.enqueued_at = now;
-  note_in(copy);
-  queue_.insert(copy.demand_us, std::move(copy));
+FrozenKeyScheduler::FrozenKeyScheduler(double OpContext::*key, std::string name)
+    : key_(key), name_(std::move(name)) {}
+
+void FrozenKeyScheduler::enqueue(const OpContext& op, SimTime now) {
+  Entry entry{op.*key_, next_arrival_++, op};
+  entry.op.enqueued_at = now;
+  note_in(entry.op);
+  heap_.push_back(std::move(entry));
+  std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
-OpContext SjfScheduler::dequeue(SimTime) {
-  OpContext op = queue_.pop_min();
+OpContext FrozenKeyScheduler::dequeue(SimTime) {
+  DAS_CHECK(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  OpContext op = std::move(heap_.back().op);
+  heap_.pop_back();
   note_out(op);
   return op;
 }
 
-std::vector<OpContext> SjfScheduler::drain(SimTime) {
+std::vector<OpContext> FrozenKeyScheduler::drain(SimTime now) {
   std::vector<OpContext> out;
-  out.reserve(queue_.size());
-  while (!queue_.empty()) {
-    OpContext op = queue_.pop_min();
-    note_out(op);
-    out.push_back(std::move(op));
-  }
-  return out;
-}
-
-void EdfScheduler::enqueue(const OpContext& op, SimTime now) {
-  OpContext copy = op;
-  copy.enqueued_at = now;
-  note_in(copy);
-  queue_.insert(copy.deadline, std::move(copy));
-}
-
-OpContext EdfScheduler::dequeue(SimTime) {
-  OpContext op = queue_.pop_min();
-  note_out(op);
-  return op;
-}
-
-std::vector<OpContext> EdfScheduler::drain(SimTime) {
-  std::vector<OpContext> out;
-  out.reserve(queue_.size());
-  while (!queue_.empty()) {
-    OpContext op = queue_.pop_min();
-    note_out(op);
-    out.push_back(std::move(op));
-  }
+  out.reserve(heap_.size());
+  while (!heap_.empty()) out.push_back(dequeue(now));
   return out;
 }
 

@@ -87,7 +87,9 @@ void DasScheduler::check_policy_invariants() const {
 std::string DasScheduler::name() const {
   if (options_.primary_key == PrimaryKey::kCriticalPath) return "das-crit";
   if (!options_.adaptive) return "das-na";
-  if (!options_.defer) return "das-nd";
+  if (!options_.defer) {
+    return options_.max_wait_us == kTimeInfinity ? "req-srpt" : "das-nd";
+  }
   if (options_.max_wait_us == kTimeInfinity) return "das-noaging";
   return "das";
 }

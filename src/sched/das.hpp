@@ -33,6 +33,10 @@
 // Each mechanism switches off independently for the ablation study, and the
 // primary key can be switched to the request's critical-path remaining time
 // (max instead of sum) to quantify why total remaining is the right notion.
+// With deferral and aging both off, what is left is request-level SRPT on the
+// total remaining demand: that configuration is the `req-srpt` baseline, the
+// strongest request-aware non-DAS policy (it cannot tell whether the
+// remaining work is parallel or serial), and name() reports it as such.
 //
 // Storage is built for the progress channel, which re-ranks queued ops at
 // several times the op rate: records live in a dense slab recycled through a
@@ -71,7 +75,7 @@ class DasScheduler final : public SchedulerBase {
     /// initial value (the DAS-NA ablation's server half).
     bool adaptive = true;
     /// Enable the LRPT-last deferred set; false = pure SRPT-first
-    /// (the DAS-ND ablation).
+    /// (the DAS-ND ablation; `req-srpt` when aging is off too).
     bool defer = true;
     /// Starvation bound; infinity disables aging.
     Duration max_wait_us = 50.0 * kMillisecond;

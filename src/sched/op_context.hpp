@@ -28,8 +28,8 @@ struct OpContext {
 
   /// --- DAS tags -----------------------------------------------------------
   /// The request's intrinsic critical-path remaining time (µs): the max over
-  /// its pending operations of demand/mu_est(server). This is the SRPT-first
-  /// ordering key — deliberately free of queueing-delay terms, which are the
+  /// its pending operations of demand/mu_est(server). The das-crit ablation
+  /// orders on it — deliberately free of queueing-delay terms, which are the
   /// scheduler's own decision variable. Progress messages shrink it.
   double remaining_critical_us = 0;
   /// Earliest ABSOLUTE time the request could complete considering only its
@@ -45,9 +45,10 @@ struct OpContext {
   std::uint32_t bottleneck_ops = 1;
   double bottleneck_demand_us = 0;
 
-  /// --- Request-SRPT tag ---------------------------------------------------
-  /// Total service demand of the request across all servers (µs), frozen at
-  /// send time; progress updates shrink it.
+  /// --- SRPT-first key -----------------------------------------------------
+  /// Total remaining service demand of the request across all servers (µs),
+  /// as of send time; progress updates rewrite it on the queued op. The
+  /// ordering key of das and of req-srpt (DAS without deferral or aging).
   double total_demand_us = 0;
 
   /// --- EDF tag ------------------------------------------------------------
@@ -86,7 +87,7 @@ struct ProgressUpdate {
   /// New earliest completion over the request's ops on servers OTHER than
   /// the destination (deferral bound; 0 = none elsewhere).
   SimTime est_other_completion = 0;
-  /// New total remaining demand (request-global; ReqSRPT's key).
+  /// New total remaining demand (request-global; the SRPT-first key).
   double remaining_total_us = 0;
 };
 

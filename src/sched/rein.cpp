@@ -1,6 +1,7 @@
 #include "sched/rein.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "trace/tracer.hpp"
 
@@ -16,23 +17,21 @@ ReinSbfScheduler::ReinSbfScheduler(Options options) : options_(options) {
 void ReinSbfScheduler::check_policy_invariants() const {
   std::size_t queued = 0;
   for (const auto& level : levels_) {
-    level.check_invariants();
     queued += level.size();
+    // Arrival order inside every level is what makes the globally oldest op
+    // a level front, which the aging check relies on.
+    std::uint64_t next_min = 0;
+    for (const Queued& q : level) {
+      DAS_AUDIT(q.arrival_seq >= next_min, "Rein level out of arrival order");
+      DAS_AUDIT(q.arrival_seq < next_arrival_seq_, "Rein arrival from the future");
+      DAS_AUDIT(q.op.demand_us >= 0, "queued op with negative demand");
+      next_min = q.arrival_seq + 1;
+    }
   }
   DAS_AUDIT(queued == size(), "Rein level sizes drifted from accounting");
   DAS_AUDIT(ewma_bottleneck_ >= 0, "negative bottleneck threshold");
   DAS_AUDIT(seeded_ || size() == 0 || enqueued_total() == 0,
             "threshold never seeded despite arrivals");
-  // Every queued op must be reachable by the aging scan: each live fifo
-  // entry names a still-queued handle at its recorded level, and the live
-  // entries cover the whole queue (stale entries for served ops are fine —
-  // dequeue() skips them lazily).
-  std::size_t live = 0;
-  for (const FifoEntry& entry : fifo_) {
-    DAS_AUDIT(entry.level < levels_.size(), "fifo entry with bad level");
-    if (levels_[entry.level].contains(entry.handle)) ++live;
-  }
-  DAS_AUDIT(live == queued, "aging fifo lost track of queued ops");
 }
 
 std::size_t ReinSbfScheduler::level_for(double v) const {
@@ -61,62 +60,49 @@ void ReinSbfScheduler::enqueue(const OpContext& op, SimTime now) {
     ewma_bottleneck_ += options_.threshold_alpha * (v - ewma_bottleneck_);
   }
 
-  const std::size_t level = level_for(v);
-  const std::uint64_t seq = next_arrival_seq_++;
-  const Handle h = levels_[level].insert(seq, std::move(copy));
-  fifo_.emplace_back(level, seq, h);
+  levels_[level_for(v)].push_back({next_arrival_seq_++, std::move(copy)});
 }
 
-OpContext ReinSbfScheduler::take(std::size_t level, std::uint64_t arrival_seq,
-                                 Handle h) {
-  OpContext op = levels_[level].remove_with_key(arrival_seq, h);
+OpContext ReinSbfScheduler::take(std::size_t level) {
+  OpContext op = std::move(levels_[level].front().op);
+  levels_[level].pop_front();
   note_out(op);
   return op;
 }
 
 OpContext ReinSbfScheduler::dequeue(SimTime now) {
-  DAS_CHECK(!empty());
-  // Aging: the globally oldest queued op is promoted past all levels once its
-  // wait exceeds the bound. Entries for already-served ops are skipped lazily.
-  while (!fifo_.empty() && !levels_[fifo_.front().level].contains(fifo_.front().handle))
-    fifo_.pop_front();
-  if (!fifo_.empty()) {
-    const FifoEntry front = fifo_.front();
-    const OpContext& oldest = levels_[front.level].at(front.handle);
-    if (now - oldest.enqueued_at > options_.max_wait_us) {
-      fifo_.pop_front();
-      ++aging_promotions_;
-      if (tracer_ != nullptr) {
-        tracer_->aging_promotion(now, oldest.op_id, oldest.request_id,
-                                 tracer_server_, now - oldest.enqueued_at);
-      }
-      return take(front.level, front.arrival_seq, front.handle);
-    }
-  }
+  // Aging: the globally oldest queued op — the level front with the smallest
+  // arrival sequence — is promoted past all levels once its wait exceeds the
+  // bound. Otherwise the first non-empty level serves its front.
+  std::size_t first = levels_.size();
+  std::size_t oldest = levels_.size();
   for (std::size_t level = 0; level < levels_.size(); ++level) {
-    if (!levels_[level].empty()) {
-      const Handle h = levels_[level].min_handle();
-      const std::uint64_t seq = levels_[level].min_key();
-      return take(level, seq, h);
-    }
+    if (levels_[level].empty()) continue;
+    if (first == levels_.size()) first = level;
+    if (oldest == levels_.size() ||
+        levels_[level].front().arrival_seq < levels_[oldest].front().arrival_seq)
+      oldest = level;
   }
-  DAS_CHECK_MSG(false, "dequeue on empty ReinSbfScheduler");
-  return {};
+  DAS_CHECK_MSG(first < levels_.size(), "dequeue on empty ReinSbfScheduler");
+  const OpContext& head = levels_[oldest].front().op;
+  if (now - head.enqueued_at > options_.max_wait_us) {
+    ++aging_promotions_;
+    if (tracer_ != nullptr) {
+      tracer_->aging_promotion(now, head.op_id, head.request_id, tracer_server_,
+                               now - head.enqueued_at);
+    }
+    return take(oldest);
+  }
+  return take(first);
 }
 
 std::vector<OpContext> ReinSbfScheduler::drain(SimTime) {
   std::vector<OpContext> out;
   out.reserve(size());
-  // Level order, FCFS inside a level — the no-aging serve order. The aging
-  // fifo only ever points at queued ops, so it empties wholesale.
+  // Level order, FCFS inside a level — the no-aging serve order.
   for (std::size_t level = 0; level < levels_.size(); ++level) {
-    while (!levels_[level].empty()) {
-      const Handle h = levels_[level].min_handle();
-      const std::uint64_t seq = levels_[level].min_key();
-      out.push_back(take(level, seq, h));
-    }
+    while (!levels_[level].empty()) out.push_back(take(level));
   }
-  fifo_.clear();
   return out;
 }
 

@@ -8,13 +8,16 @@
 // operations that have waited too long to avoid starving wide multigets.
 // The quantisation threshold adapts as an EWMA of observed bottleneck sizes,
 // so the split tracks the workload without manual tuning.
+//
+// Each level is a FIFO of ops stamped with a global arrival number, so the
+// globally oldest queued op is always the front of some level, and the aging
+// check only compares the level fronts.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <vector>
 
-#include "sched/keyed_queue.hpp"
 #include "sched/scheduler_base.hpp"
 
 namespace das::sched {
@@ -49,25 +52,21 @@ class ReinSbfScheduler final : public SchedulerBase {
  private:
   friend struct TestCorruptor;
 
-  using Handle = KeyedQueue<std::uint64_t>::Handle;
-
-  struct FifoEntry {
-    std::size_t level;
+  struct Queued {
     std::uint64_t arrival_seq;
-    Handle handle;
+    OpContext op;
   };
 
   Options options_;
-  /// One FCFS queue per priority level, keyed by a global arrival sequence.
-  std::vector<KeyedQueue<std::uint64_t>> levels_;
-  /// Global arrival order for the aging check.
-  std::deque<FifoEntry> fifo_;
+  /// One FCFS queue per priority level, stamped with a global arrival
+  /// sequence; within a level the sequence strictly increases.
+  std::vector<std::deque<Queued>> levels_;
   std::uint64_t next_arrival_seq_ = 0;
   double ewma_bottleneck_ = 0;
   bool seeded_ = false;
   std::uint64_t aging_promotions_ = 0;
 
-  OpContext take(std::size_t level, std::uint64_t arrival_seq, Handle h);
+  OpContext take(std::size_t level);
 };
 
 }  // namespace das::sched

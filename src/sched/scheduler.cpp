@@ -4,7 +4,6 @@
 #include "sched/basic_policies.hpp"
 #include "sched/das.hpp"
 #include "sched/rein.hpp"
-#include "sched/req_srpt.hpp"
 
 namespace das::sched {
 
@@ -54,11 +53,9 @@ SchedulerPtr make_scheduler(Policy policy, const SchedulerConfig& config) {
     case Policy::kRandom:
       return std::make_unique<RandomScheduler>(config.seed);
     case Policy::kSjf:
-      return std::make_unique<SjfScheduler>();
-    case Policy::kReqSrpt:
-      return std::make_unique<ReqSrptScheduler>();
+      return std::make_unique<FrozenKeyScheduler>(&OpContext::demand_us, "sjf");
     case Policy::kEdf:
-      return std::make_unique<EdfScheduler>();
+      return std::make_unique<FrozenKeyScheduler>(&OpContext::deadline, "edf");
     case Policy::kReinSbf: {
       ReinSbfScheduler::Options opt;
       opt.levels = config.rein_levels;
@@ -67,16 +64,20 @@ SchedulerPtr make_scheduler(Policy policy, const SchedulerConfig& config) {
       opt.max_wait_us = config.max_wait_us;
       return std::make_unique<ReinSbfScheduler>(opt);
     }
+    case Policy::kReqSrpt:
     case Policy::kDas:
     case Policy::kDasNoAdapt:
     case Policy::kDasNoDefer:
     case Policy::kDasNoAging:
     case Policy::kDasCritical: {
       DasScheduler::Options opt;
+      // req-srpt is DAS's SRPT-first half alone: no deferral, no aging.
+      const bool srpt_only = policy == Policy::kReqSrpt;
       opt.adaptive = policy != Policy::kDasNoAdapt;
-      opt.defer = policy != Policy::kDasNoDefer;
-      opt.max_wait_us =
-          policy == Policy::kDasNoAging ? kTimeInfinity : config.max_wait_us;
+      opt.defer = policy != Policy::kDasNoDefer && !srpt_only;
+      opt.max_wait_us = policy == Policy::kDasNoAging || srpt_only
+                            ? kTimeInfinity
+                            : config.max_wait_us;
       opt.defer_margin = config.das_defer_margin;
       opt.primary_key = policy == Policy::kDasCritical
                             ? DasScheduler::PrimaryKey::kCriticalPath

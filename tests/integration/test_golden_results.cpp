@@ -26,6 +26,7 @@
 #include <cstdlib>
 
 #include "core/experiment.hpp"
+#include "fault/fault_plan.hpp"
 #include "workload/registry.hpp"
 
 namespace das::core {
@@ -78,6 +79,7 @@ const char* policy_token(sched::Policy policy) {
   switch (policy) {
     case sched::Policy::kFcfs: return "sched::Policy::kFcfs";
     case sched::Policy::kSjf: return "sched::Policy::kSjf";
+    case sched::Policy::kEdf: return "sched::Policy::kEdf";
     case sched::Policy::kReqSrpt: return "sched::Policy::kReqSrpt";
     case sched::Policy::kReinSbf: return "sched::Policy::kReinSbf";
     case sched::Policy::kDas: return "sched::Policy::kDas";
@@ -242,6 +244,125 @@ TEST(GoldenResults, PinnedTenantRowIsBitExact) {
     EXPECT_EQ(r.tenants[t].rct.mean, kTenantGolden[t].mean_rct_us);
   }
   EXPECT_EQ(r.jain_fairness, kTenantGoldenJain);
+}
+
+// --- scenario dimension -----------------------------------------------------
+//
+// The baselines that do not share DAS's code paths, plus req-srpt, under the
+// scenarios that reach their less-travelled paths: message loss with
+// retransmission, a crash that drains a server's queue, the LSM store with
+// 30% writes, and two tenants. A 1 ms aging bound (the default is 50 ms,
+// longer than the run) makes Rein's starvation guard fire. The rows were
+// generated while req-srpt still had its own scheduler class and Rein, SJF
+// and EDF still kept their queues in an ordered set; they prove the move to
+// DasScheduler, Rein's per-level FIFOs and the frozen-key heap bit-exact.
+
+enum class Scenario { kLoss, kCrash, kLsmWrites, kTenants };
+
+struct ScenarioGoldenRow {
+  sched::Policy policy;
+  Scenario scenario;
+  std::uint64_t requests_measured;
+  double mean_rct_us;
+  double p99_us;
+  std::uint64_t reranks_applied;
+  std::uint64_t ops_aged;
+};
+
+constexpr sched::Policy kScenarioPolicies[] = {
+    sched::Policy::kReqSrpt, sched::Policy::kSjf, sched::Policy::kEdf,
+    sched::Policy::kReinSbf,
+};
+constexpr Scenario kScenarios[] = {Scenario::kLoss, Scenario::kCrash,
+                                   Scenario::kLsmWrites, Scenario::kTenants};
+
+ClusterConfig scenario_golden_config(sched::Policy policy, Scenario scenario) {
+  ClusterConfig cfg = golden_config(policy, 0.8);
+  cfg.sched_config.max_wait_us = 1.0 * kMillisecond;
+  switch (scenario) {
+    case Scenario::kLoss:
+      cfg.msg_loss_probability = 0.01;
+      cfg.retry_timeout_us = 1.0 * kMillisecond;
+      break;
+    case Scenario::kCrash:
+      cfg.retry_timeout_us = 1.0 * kMillisecond;
+      cfg.fault_plan = fault::parse_fault_plan("crash@8ms:s3,recover@14ms:s3");
+      break;
+    case Scenario::kLsmWrites:
+      cfg.store_model = StoreModel::kLsm;
+      cfg.write_fraction = 0.3;
+      break;
+    case Scenario::kTenants:
+      cfg.tenants = workload::parse_tenants(kTenantGoldenSpec);
+      break;
+  }
+  return cfg;
+}
+
+const char* scenario_token(Scenario scenario) {
+  switch (scenario) {
+    case Scenario::kLoss: return "Scenario::kLoss";
+    case Scenario::kCrash: return "Scenario::kCrash";
+    case Scenario::kLsmWrites: return "Scenario::kLsmWrites";
+    case Scenario::kTenants: return "Scenario::kTenants";
+  }
+  return "Scenario::kLoss";
+}
+
+// Pinned by the build described above (regen as above).
+const ScenarioGoldenRow kScenarioGolden[] = {
+    // clang-format off
+    {sched::Policy::kReqSrpt, Scenario::kLoss, 409u, 335.03264467754019, 3569.1703785916625, 11990u, 0u},
+    {sched::Policy::kReqSrpt, Scenario::kCrash, 409u, 1295.8850084790504, 13406.332705817345, 12418u, 0u},
+    {sched::Policy::kReqSrpt, Scenario::kLsmWrites, 367u, 78.547816306133058, 372.91979031493315, 4940u, 0u},
+    {sched::Policy::kReqSrpt, Scenario::kTenants, 488u, 177.61332706779959, 1008.6786061088077, 16786u, 0u},
+    {sched::Policy::kSjf, Scenario::kLoss, 409u, 522.4730774799217, 5475.0281022619856, 0u, 0u},
+    {sched::Policy::kSjf, Scenario::kCrash, 409u, 1769.6519022041939, 12755.665566225349, 0u, 0u},
+    {sched::Policy::kSjf, Scenario::kLsmWrites, 367u, 90.926049649999314, 523.04871558290779, 0u, 0u},
+    {sched::Policy::kSjf, Scenario::kTenants, 488u, 384.82649639854031, 3942.584569554635, 0u, 0u},
+    {sched::Policy::kEdf, Scenario::kLoss, 409u, 349.4148899187166, 1243.0873845693914, 0u, 0u},
+    {sched::Policy::kEdf, Scenario::kCrash, 409u, 2674.6677549698197, 11547.537635530298, 0u, 0u},
+    {sched::Policy::kEdf, Scenario::kLsmWrites, 367u, 88.982511873011418, 344.38516968746262, 0u, 0u},
+    {sched::Policy::kEdf, Scenario::kTenants, 488u, 334.43942029034497, 1125.35079279409, 0u, 0u},
+    {sched::Policy::kReinSbf, Scenario::kLoss, 409u, 844.02200463840654, 4531.8992962116063, 0u, 555u},
+    {sched::Policy::kReinSbf, Scenario::kCrash, 409u, 2128.3274980842593, 10453.835180271839, 0u, 1087u},
+    {sched::Policy::kReinSbf, Scenario::kLsmWrites, 367u, 79.064000623458782, 388.06182921007832, 0u, 0u},
+    {sched::Policy::kReinSbf, Scenario::kTenants, 488u, 267.94383055410498, 1194.5825430457378, 0u, 124u},
+    // clang-format on
+};
+
+TEST(GoldenResults, PinnedScenarioRowsAreBitExact) {
+  if (std::getenv("DAS_REGEN_GOLDEN") != nullptr) {
+    for (const sched::Policy policy : kScenarioPolicies) {
+      for (const Scenario scenario : kScenarios) {
+        const ExperimentResult r = run_experiment(
+            scenario_golden_config(policy, scenario), golden_window());
+        std::printf("    {%s, %s, %lluu, %.17g, %.17g, %lluu, %lluu},\n",
+                    policy_token(policy), scenario_token(scenario),
+                    static_cast<unsigned long long>(r.requests_measured),
+                    r.rct.mean, r.rct.p99,
+                    static_cast<unsigned long long>(r.reranks_applied),
+                    static_cast<unsigned long long>(r.ops_aged));
+      }
+    }
+    GTEST_SKIP() << "DAS_REGEN_GOLDEN set: printed fresh rows, skipped the "
+                    "comparison";
+  }
+  ASSERT_EQ(std::size(kScenarioGolden),
+            std::size(kScenarioPolicies) * std::size(kScenarios))
+      << "scenario golden table incomplete — regenerate with "
+         "DAS_REGEN_GOLDEN=1";
+  for (const ScenarioGoldenRow& row : kScenarioGolden) {
+    SCOPED_TRACE(std::string(sched::to_string(row.policy)) + " in " +
+                 scenario_token(row.scenario));
+    const ExperimentResult r = run_experiment(
+        scenario_golden_config(row.policy, row.scenario), golden_window());
+    EXPECT_EQ(r.requests_measured, row.requests_measured);
+    EXPECT_EQ(r.rct.mean, row.mean_rct_us);
+    EXPECT_EQ(r.rct.p99, row.p99_us);
+    EXPECT_EQ(r.reranks_applied, row.reranks_applied);
+    EXPECT_EQ(r.ops_aged, row.ops_aged);
+  }
 }
 
 TEST(GoldenResults, PinnedGridIsBitExact) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sched_test_util.hpp"
 #include "sched/scheduler.hpp"
 
@@ -65,7 +67,7 @@ TEST(Random, OrderIsSeedDeterministic) {
 }
 
 TEST(Sjf, ServesSmallestDemandFirst) {
-  SjfScheduler s;
+  FrozenKeyScheduler s{&OpContext::demand_us, "sjf"};
   s.enqueue(OpBuilder{1}.demand(30).build(), 0);
   s.enqueue(OpBuilder{2}.demand(5).build(), 0);
   s.enqueue(OpBuilder{3}.demand(20).build(), 0);
@@ -75,20 +77,107 @@ TEST(Sjf, ServesSmallestDemandFirst) {
 }
 
 TEST(Sjf, TiesBreakByArrival) {
-  SjfScheduler s;
+  FrozenKeyScheduler s{&OpContext::demand_us, "sjf"};
   for (OperationId i = 0; i < 5; ++i)
     s.enqueue(OpBuilder{i}.demand(10).build(), static_cast<double>(i));
   for (OperationId i = 0; i < 5; ++i) EXPECT_EQ(s.dequeue(10).op_id, i);
 }
 
 TEST(Edf, ServesEarliestDeadlineFirst) {
-  EdfScheduler s;
+  FrozenKeyScheduler s{&OpContext::deadline, "edf"};
   s.enqueue(OpBuilder{1}.deadline(300).build(), 0);
   s.enqueue(OpBuilder{2}.deadline(100).build(), 0);
   s.enqueue(OpBuilder{3}.deadline(200).build(), 0);
   EXPECT_EQ(s.dequeue(1).op_id, 2u);
   EXPECT_EQ(s.dequeue(1).op_id, 3u);
   EXPECT_EQ(s.dequeue(1).op_id, 1u);
+}
+
+// sjf and edf are one class keyed on different OpContext fields; the
+// FrozenKey cases run through the factory on both.
+constexpr Policy kFrozenKeyPolicies[] = {Policy::kSjf, Policy::kEdf};
+
+/// An op whose frozen key under `policy` is `key`. The other policy's field
+/// runs in reverse, so keying on the wrong field shows.
+OpContext keyed(Policy policy, OperationId id, double key) {
+  return policy == Policy::kSjf
+             ? OpBuilder{id}.demand(key).deadline(1000.0 - key).build()
+             : OpBuilder{id}.deadline(key).demand(1000.0 - key).build();
+}
+
+TEST(FrozenKey, PopsInKeyOrder) {
+  for (const Policy policy : kFrozenKeyPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    const SchedulerPtr s = make_scheduler(policy);
+    s->enqueue(keyed(policy, 3, 3.0), 0);
+    s->enqueue(keyed(policy, 1, 1.0), 0);
+    s->enqueue(keyed(policy, 2, 2.0), 0);
+    EXPECT_EQ(s->dequeue(1).op_id, 1u);
+    EXPECT_EQ(s->dequeue(1).op_id, 2u);
+    EXPECT_EQ(s->dequeue(1).op_id, 3u);
+    EXPECT_TRUE(s->empty());
+  }
+}
+
+TEST(FrozenKey, EqualKeysPopInArrivalOrder) {
+  for (const Policy policy : kFrozenKeyPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    const SchedulerPtr s = make_scheduler(policy);
+    for (OperationId i = 0; i < 20; ++i) s->enqueue(keyed(policy, i, 7.0), 0);
+    for (OperationId i = 0; i < 20; ++i) EXPECT_EQ(s->dequeue(1).op_id, i);
+  }
+}
+
+TEST(FrozenKey, DrainsInServeOrder) {
+  for (const Policy policy : kFrozenKeyPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    const SchedulerPtr s = make_scheduler(policy);
+    const double keys[] = {5, 1, 5, 3, 1};
+    for (OperationId i = 0; i < 5; ++i) s->enqueue(keyed(policy, i, keys[i]), 0);
+    std::vector<OperationId> drained;
+    for (const OpContext& op : s->drain(1)) drained.push_back(op.op_id);
+    EXPECT_EQ(drained, (std::vector<OperationId>{1, 4, 3, 0, 2}));
+    EXPECT_TRUE(s->empty());
+  }
+}
+
+TEST(FrozenKey, DequeueEmptyThrows) {
+  for (const Policy policy : kFrozenKeyPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    EXPECT_THROW(make_scheduler(policy)->dequeue(0), std::logic_error);
+  }
+}
+
+TEST(FrozenKey, MatchesReferenceOrderUnderInterleaving) {
+  // Against a linear-scan reference: the minimum (key, arrival) is served.
+  // Few distinct keys, so ties are common.
+  struct Ref {
+    double key;
+    OperationId id;  // issued in arrival order
+  };
+  for (const Policy policy : kFrozenKeyPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    const SchedulerPtr s = make_scheduler(policy);
+    std::vector<Ref> live;
+    Rng rng{123};
+    OperationId next = 0;
+    for (int step = 0; step < 5000; ++step) {
+      if (live.empty() || rng.chance(0.6)) {
+        const double key = static_cast<double>(rng.next_below(12));
+        s->enqueue(keyed(policy, next, key), static_cast<double>(step));
+        live.push_back({key, next++});
+      } else {
+        const auto best = std::min_element(
+            live.begin(), live.end(), [](const Ref& a, const Ref& b) {
+              return a.key != b.key ? a.key < b.key : a.id < b.id;
+            });
+        ASSERT_EQ(s->dequeue(static_cast<double>(step)).op_id, best->id);
+        live.erase(best);
+      }
+      ASSERT_EQ(s->size(), live.size());
+    }
+    EXPECT_NO_THROW(s->check_invariants());
+  }
 }
 
 TEST(Factory, CreatesEveryPolicyWithMatchingName) {

@@ -2,38 +2,30 @@
 // (b) throw AuditError when internal state is corrupted on purpose. The
 // corruptions below simulate exactly the drift bugs the audits exist to
 // catch: lost order entries, desynced accounting, negative remaining work,
-// and aging indexes that lose track of queued operations.
+// broken heap order, and queues that lose the arrival order aging relies on.
 #include <gtest/gtest.h>
 
 #include "common/invariant.hpp"
 #include "sched/basic_policies.hpp"
 #include "sched/das.hpp"
-#include "sched/keyed_queue.hpp"
 #include "sched/rein.hpp"
-#include "sched/req_srpt.hpp"
 #include "sched_test_util.hpp"
 
 namespace das::sched {
 
-/// White-box corruption hooks; friend of the queue and every scheduler.
+/// White-box corruption hooks; friend of every scheduler and the order heap.
 struct TestCorruptor {
   static void bump_count(SchedulerBase& s) { ++s.count_; }
   static void poison_backlog(SchedulerBase& s) { s.backlog_us_ = -5.0; }
 
-  template <typename Key>
-  static void drop_op(KeyedQueue<Key>& q) {
-    q.ops_.erase(q.ops_.begin());
+  static void break_heap_order(FrozenKeyScheduler& s) {
+    std::swap(s.heap_.front(), s.heap_.back());
   }
-  template <typename Key>
-  static void negate_demand(KeyedQueue<Key>& q) {
-    q.ops_.begin()->second.demand_us = -1.0;
+  static void negate_demand(FrozenKeyScheduler& s) {
+    s.heap_.back().op.demand_us = -1.0;
   }
-  template <typename Key>
-  static void duplicate_order_entry(KeyedQueue<Key>& q, Key other_key) {
-    const auto front = *q.order_.begin();
-    q.order_.insert({std::move(other_key), front.handle});
-    q.ops_.emplace(q.next_seq_ + 100, OpContext{});  // keep sizes equal
-  }
+  static void drop_entry(FrozenKeyScheduler& s) { s.heap_.pop_back(); }
+  static void stale_key(FrozenKeyScheduler& s) { s.heap_.back().key += 1e9; }
 
   static void lose_fifo_entry(DasScheduler& s) { s.fifo_.pop_front(); }
   static void unlink_active(DasScheduler& s) {
@@ -47,15 +39,15 @@ struct TestCorruptor {
   static void negate_remaining(DasScheduler& s) {
     s.slab_.front().op.remaining_critical_us = -1.0;
   }
-
-  static void drop_key_index(ReqSrptScheduler& s) {
-    s.key_of_.erase(s.key_of_.begin());
-  }
-  static void negate_key_index(ReqSrptScheduler& s) {
-    s.key_of_.begin()->second = -1.0;
+  static void negate_total(DasScheduler& s) {
+    s.slab_.front().op.total_demand_us = -1.0;
   }
 
-  static void lose_fifo_entry(ReinSbfScheduler& s) { s.fifo_.pop_front(); }
+  static void swap_level_order(ReinSbfScheduler& s) {
+    auto& level = s.levels_.front();
+    std::swap(level.front().arrival_seq, level.back().arrival_seq);
+  }
+  static void drop_queued(ReinSbfScheduler& s) { s.levels_.front().pop_back(); }
   static void negate_threshold(ReinSbfScheduler& s) {
     s.ewma_bottleneck_ = -1.0;
   }
@@ -63,8 +55,6 @@ struct TestCorruptor {
   static void reorder_fcfs(FcfsScheduler& s) {
     std::swap(s.queue_.front().enqueued_at, s.queue_.back().enqueued_at);
   }
-
-  static KeyedQueue<double>& sjf_queue(SjfScheduler& s) { return s.queue_; }
 };
 
 namespace {
@@ -73,6 +63,17 @@ using testing::OpBuilder;
 
 OpContext op(OperationId id, double demand = 10.0) {
   return OpBuilder{id}.demand(demand).build();
+}
+
+FrozenKeyScheduler sjf() { return FrozenKeyScheduler{&OpContext::demand_us, "sjf"}; }
+FrozenKeyScheduler edf() { return FrozenKeyScheduler{&OpContext::deadline, "edf"}; }
+
+/// req-srpt as the factory builds it: DAS with deferral and aging off.
+DasScheduler::Options req_srpt_options() {
+  DasScheduler::Options opt;
+  opt.defer = false;
+  opt.max_wait_us = kTimeInfinity;
+  return opt;
 }
 
 template <typename S>
@@ -87,13 +88,14 @@ void fill(S& s, int n) {
 TEST(InvariantAudit, HealthySchedulersPass) {
   FcfsScheduler fcfs;
   RandomScheduler random{7};
-  SjfScheduler sjf;
-  EdfScheduler edf;
-  ReqSrptScheduler srpt;
+  FrozenKeyScheduler sjf_s = sjf();
+  FrozenKeyScheduler edf_s = edf();
+  DasScheduler srpt{req_srpt_options()};
   ReinSbfScheduler rein{{}};
   DasScheduler das{{}};
-  for (Scheduler* s : std::initializer_list<Scheduler*>{&fcfs, &random, &sjf,
-                                                        &edf, &srpt, &rein, &das}) {
+  ASSERT_EQ(srpt.name(), "req-srpt");
+  for (Scheduler* s : std::initializer_list<Scheduler*>{&fcfs, &random, &sjf_s,
+                                                        &edf_s, &srpt, &rein, &das}) {
     EXPECT_NO_THROW(s->check_invariants()) << "empty " << s->name();
     for (int i = 0; i < 16; ++i) {
       s->enqueue(op(static_cast<OperationId>(i), 5.0 + i), static_cast<double>(i));
@@ -106,14 +108,17 @@ TEST(InvariantAudit, HealthySchedulersPass) {
   }
 }
 
-TEST(InvariantAudit, HealthyKeyedQueuePasses) {
-  KeyedQueue<double> q;
-  EXPECT_NO_THROW(q.check_invariants());
-  for (int i = 0; i < 8; ++i) {
-    q.insert(static_cast<double>(i % 3), op(static_cast<OperationId>(i)));
+TEST(InvariantAudit, HealthyFrozenKeyHeapPasses) {
+  // Many equal keys and a partial drain exercise the arrival tie-break.
+  FrozenKeyScheduler s = sjf();
+  for (int i = 0; i < 32; ++i) {
+    s.enqueue(op(static_cast<OperationId>(i), static_cast<double>(i % 3)),
+              static_cast<double>(i));
   }
-  q.pop_min();
-  EXPECT_NO_THROW(q.check_invariants());
+  for (int i = 0; i < 11; ++i) {
+    s.dequeue(100.0);
+    EXPECT_NO_THROW(s.check_invariants());
+  }
 }
 
 // --- accounting corruption (shared SchedulerBase layer) ---------------------
@@ -126,41 +131,43 @@ TEST(InvariantAudit, CountDriftThrows) {
 }
 
 TEST(InvariantAudit, NegativeBacklogOnEmptyThrows) {
-  SjfScheduler s;
+  FrozenKeyScheduler s = sjf();
   TestCorruptor::poison_backlog(s);
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
-// --- KeyedQueue corruption --------------------------------------------------
+// --- frozen-key heap corruption (sjf / edf) ----------------------------------
 
-TEST(InvariantAudit, KeyedQueueLostOpThrows) {
-  KeyedQueue<double> q;
-  q.insert(1.0, op(1));
-  q.insert(2.0, op(2));
-  TestCorruptor::drop_op(q);
-  EXPECT_THROW(q.check_invariants(), AuditError);
+TEST(InvariantAudit, FrozenKeyHeapOrderBrokenThrows) {
+  FrozenKeyScheduler s = edf();
+  for (int i = 0; i < 4; ++i) {
+    s.enqueue(OpBuilder{static_cast<OperationId>(i)}.deadline(100.0 + i).build(),
+              static_cast<double>(i));
+  }
+  TestCorruptor::break_heap_order(s);
+  EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
-TEST(InvariantAudit, KeyedQueueNegativeDemandThrows) {
-  KeyedQueue<double> q;
-  q.insert(1.0, op(1));
-  TestCorruptor::negate_demand(q);
-  EXPECT_THROW(q.check_invariants(), AuditError);
-}
-
-TEST(InvariantAudit, KeyedQueueDuplicatedHandleThrows) {
-  KeyedQueue<double> q;
-  q.insert(1.0, op(1));
-  TestCorruptor::duplicate_order_entry(q, 9.0);
-  EXPECT_THROW(q.check_invariants(), AuditError);
-}
-
-TEST(InvariantAudit, CorruptedKeyedQueueFailsOwningScheduler) {
-  // The SJF audit delegates to its queue, so queue corruption surfaces
-  // through the scheduler's own check_invariants().
-  SjfScheduler s;
+TEST(InvariantAudit, FrozenKeyNegativeDemandThrows) {
+  FrozenKeyScheduler s = sjf();
   fill(s, 3);
-  TestCorruptor::negate_demand(TestCorruptor::sjf_queue(s));
+  TestCorruptor::negate_demand(s);
+  EXPECT_THROW(s.check_invariants(), AuditError);
+}
+
+TEST(InvariantAudit, FrozenKeySizeDriftThrows) {
+  FrozenKeyScheduler s = sjf();
+  fill(s, 3);
+  TestCorruptor::drop_entry(s);
+  EXPECT_THROW(s.check_invariants(), AuditError);
+}
+
+TEST(InvariantAudit, FrozenKeyStaleKeyThrows) {
+  // The last entry is a leaf, so raising its key keeps the heap order: only
+  // the key-matches-its-op audit can catch it.
+  FrozenKeyScheduler s = sjf();
+  fill(s, 4);
+  TestCorruptor::stale_key(s);
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
@@ -194,12 +201,21 @@ TEST(InvariantAudit, DasNegativeRemainingThrows) {
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
-// --- Rein / SRPT corruption --------------------------------------------------
+// --- Rein / req-srpt corruption --------------------------------------------------
 
-TEST(InvariantAudit, ReinAgingFifoLossThrows) {
+TEST(InvariantAudit, ReinLevelOutOfArrivalOrderThrows) {
+  // Aging serves the oldest level front, which is the globally oldest op
+  // only while every level stays in arrival order.
+  ReinSbfScheduler s{{}};
+  fill(s, 4);  // equal bottlenecks: every op lands in level 0
+  TestCorruptor::swap_level_order(s);
+  EXPECT_THROW(s.check_invariants(), AuditError);
+}
+
+TEST(InvariantAudit, ReinSizeDriftThrows) {
   ReinSbfScheduler s{{}};
   fill(s, 4);
-  TestCorruptor::lose_fifo_entry(s);
+  TestCorruptor::drop_queued(s);
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
@@ -211,16 +227,16 @@ TEST(InvariantAudit, ReinNegativeThresholdThrows) {
 }
 
 TEST(InvariantAudit, SrptKeyIndexLossThrows) {
-  ReqSrptScheduler s;
+  DasScheduler s{req_srpt_options()};
   fill(s, 3);
-  TestCorruptor::drop_key_index(s);
+  TestCorruptor::unlink_active(s);
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
 TEST(InvariantAudit, SrptNegativeRemainingThrows) {
-  ReqSrptScheduler s;
+  DasScheduler s{req_srpt_options()};
   fill(s, 3);
-  TestCorruptor::negate_key_index(s);
+  TestCorruptor::negate_total(s);
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 

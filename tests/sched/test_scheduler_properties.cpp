@@ -9,7 +9,6 @@
 #include "sched/basic_policies.hpp"
 #include "sched/das.hpp"
 #include "sched/rein.hpp"
-#include "sched/req_srpt.hpp"
 #include "sched/scheduler.hpp"
 #include "sched_test_util.hpp"
 
@@ -64,8 +63,8 @@ TEST(PolicyProperties, EdfWithUniformOffsetEqualsFcfs) {
   // Deadlines all arrival + constant: EDF order must equal FCFS order.
   const auto ops = random_stream(400, 11);
   FcfsScheduler fcfs;
-  EdfScheduler edf;
-  EXPECT_EQ(service_order(fcfs, ops, 0.5, 99), service_order(edf, ops, 0.5, 99));
+  const SchedulerPtr edf = make_scheduler(Policy::kEdf);
+  EXPECT_EQ(service_order(fcfs, ops, 0.5, 99), service_order(*edf, ops, 0.5, 99));
 }
 
 TEST(PolicyProperties, DasNoAgingEqualsDasWhenNothingStarves) {
@@ -79,11 +78,12 @@ TEST(PolicyProperties, DasNoAgingEqualsDasWhenNothingStarves) {
 
 TEST(PolicyProperties, DasNdEqualsReqSrptOrderOnSharedKeys) {
   // das-nd (no deferral) orders purely by total remaining with arrival
-  // tie-breaks — identical to req-srpt when no progress updates arrive.
+  // tie-breaks; req-srpt is the same with aging off too, so the two agree
+  // whenever nothing waits out das-nd's aging bound.
   const auto ops = random_stream(400, 17);
   const SchedulerPtr nd = make_scheduler(Policy::kDasNoDefer);
-  ReqSrptScheduler srpt;
-  EXPECT_EQ(service_order(*nd, ops, 0.5, 3), service_order(srpt, ops, 0.5, 3));
+  const SchedulerPtr srpt = make_scheduler(Policy::kReqSrpt);
+  EXPECT_EQ(service_order(*nd, ops, 0.5, 3), service_order(*srpt, ops, 0.5, 3));
 }
 
 TEST(PolicyProperties, LargerDeferMarginDefersLess) {
