@@ -24,7 +24,7 @@ std::vector<Client::TenantStream> single_stream(
 Client::Client(sim::Simulator& sim, Params params, Rng rng,
                std::vector<TenantStream> tenants,
                const store::Partitioner& partitioner,
-               std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
+               std::vector<Bytes>& key_sizes, Metrics& metrics, SendOps send_ops,
                SendProgress send_progress)
     : sim_(sim),
       params_(params),
@@ -33,7 +33,7 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
       partitioner_(partitioner),
       key_sizes_(key_sizes),
       metrics_(metrics),
-      send_op_(std::move(send_op)),
+      send_ops_(std::move(send_ops)),
       send_progress_(std::move(send_progress)),
       // Fork the jitter stream off a COPY so the workload stream of rng_ is
       // untouched: runs without retries stay bit-identical to older builds.
@@ -55,7 +55,7 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
       DAS_CHECK(tenant.arrivals != nullptr);
     }
   }
-  DAS_CHECK(send_op_ != nullptr);
+  DAS_CHECK(send_ops_ != nullptr);
   DAS_CHECK(send_progress_ != nullptr);
   DAS_CHECK(params_.ewma_alpha > 0 && params_.ewma_alpha <= 1);
   // Tenants past the first get their own workload streams, forked off COPIES
@@ -88,10 +88,10 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
 Client::Client(sim::Simulator& sim, Params params, Rng rng,
                const workload::MultigetGenerator& generator,
                workload::ArrivalPtr arrivals, const store::Partitioner& partitioner,
-               std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
+               std::vector<Bytes>& key_sizes, Metrics& metrics, SendOps send_ops,
                SendProgress send_progress)
     : Client(sim, params, rng, single_stream(generator, std::move(arrivals)),
-             partitioner, key_sizes, metrics, std::move(send_op),
+             partitioner, key_sizes, metrics, std::move(send_ops),
              std::move(send_progress)) {}
 
 void Client::start(SimTime horizon) {
@@ -139,9 +139,9 @@ double Client::service_estimate_us(ServerId server, double demand) const {
   return demand / mu;
 }
 
-SimTime Client::full_estimate(SimTime now, ServerId server, double demand) const {
+SimTime Client::full_estimate(SimTime now, ServerId server, double service_us) const {
   const double d = params_.adaptive ? d_est_[server] : 0.0;
-  return now + params_.est_rtt_us + d + service_estimate_us(server, demand);
+  return now + params_.est_rtt_us + d + service_us;
 }
 
 Client::TopTwo::TopTwo(const std::vector<ServerAgg>& aggs) {
@@ -161,13 +161,9 @@ void Client::reset_server_scratch() {
   server_scratch_.clear();
 }
 
-Client::ServerAgg& Client::server_agg(ServerId server) {
-  std::uint32_t& index = scratch_index_[server];
-  if (index == kUntouched) {
-    index = static_cast<std::uint32_t>(server_scratch_.size());
-    server_scratch_.push_back(ServerAgg{server});
-  }
-  return server_scratch_[index];
+Client::ServerAgg& Client::touch_server(ServerId server) {
+  scratch_index_[server] = static_cast<std::uint32_t>(server_scratch_.size());
+  return server_scratch_.emplace_back(ServerAgg{server});
 }
 
 select::LearnedView Client::learned_view() const {
@@ -329,22 +325,21 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   double total_demand = 0;
   double critical_us = 0;
   for (const PlannedOp& planned : plan) {
+    const double service = service_estimate_us(planned.server, planned.demand);
     ServerAgg& agg = server_agg(planned.server);
     ++agg.ops;
     agg.demand += planned.demand;
-    agg.max_full_estimate = std::max(
-        agg.max_full_estimate, full_estimate(now, planned.server, planned.demand));
+    agg.max_full_estimate = std::max(agg.max_full_estimate,
+                                     full_estimate(now, planned.server, service));
     total_demand += planned.demand;
-    critical_us =
-        std::max(critical_us, service_estimate_us(planned.server, planned.demand));
+    critical_us = std::max(critical_us, service);
 
     PendingOp op;
     op.op_id = (static_cast<OperationId>(params_.id) << 48) | next_op_seq_++;
     op.server = planned.server;
     op.key = planned.key;
     op.demand_us = planned.demand;
-    op.sent_ctx.is_write = planned.is_write;
-    op.sent_ctx.write_size = planned.write_size;
+    op.is_write = planned.is_write;
     pending.ops.push_back(op);
   }
   std::uint32_t bottleneck_ops = 0;
@@ -363,8 +358,10 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
     tracer_->request_arrival(now, rid, params_.id, pending.ops.size());
   }
 
-  for (PendingOp& op : pending.ops) {
-    sched::OpContext ctx;
+  op_sends_.clear();
+  for (std::size_t i = 0; i < pending.ops.size(); ++i) {
+    const PendingOp& op = pending.ops[i];
+    sched::OpContext& ctx = op_sends_.emplace_back(op.server).ctx;
     ctx.op_id = op.op_id;
     ctx.request_id = rid;
     ctx.client = params_.id;
@@ -380,13 +377,18 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
     ctx.total_demand_us = total_demand;
     ctx.deadline = now + params_.edf_slo_us;
     ctx.expiry = expiry;
-    ctx.is_write = op.sent_ctx.is_write;
-    ctx.write_size = op.sent_ctx.write_size;
-    op_to_request_.emplace(op.op_id, rid);
-    op.sent_ctx = ctx;
-    send_op_(op.server, ctx);
-    ++ops_generated_;
-    if (tracer_ != nullptr) {
+    ctx.is_write = plan[i].is_write;
+    ctx.write_size = plan[i].write_size;
+  }
+  send_ops_(op_sends_);
+  const bool hedging = params_.hedge_delay_us > 0 && params_.replication >= 2;
+  if (params_.retry_timeout_us > 0 || hedging) {
+    pending.sent.reserve(op_sends_.size());
+    for (const OpSend& send : op_sends_) pending.sent.push_back(send.ctx);
+  }
+  ops_generated_ += pending.ops.size();
+  if (tracer_ != nullptr) {
+    for (const PendingOp& op : pending.ops) {
       tracer_->op_send(now, op.op_id, rid, params_.id, op.server, op.demand_us,
                        /*resend=*/false);
     }
@@ -396,10 +398,7 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   for (PendingOp& op : it->second.ops) {
     if (params_.retry_timeout_us > 0) arm_retry(rid, op);
     // Writes already fan out to every replica; hedging applies to reads.
-    if (params_.hedge_delay_us > 0 && params_.replication >= 2 &&
-        !op.sent_ctx.is_write) {
-      arm_hedge(rid, op);
-    }
+    if (hedging && !op.is_write) arm_hedge(rid, op);
   }
   if (params_.overload.deadlines()) {
     // The deadline is enforced client-side by a timer, not by waiting for
@@ -427,7 +426,6 @@ void Client::expire_request(RequestId rid) {
     op.done = true;
     sim_.cancel(op.retry_timer);
     sim_.cancel(op.hedge_timer);
-    op_to_request_.erase(op.op_id);
   }
   if (admission_ != nullptr) admission_->on_overload(req.tenant);
   metrics_.record_request_expired(req.arrival, now, req.tenant);
@@ -444,11 +442,10 @@ void Client::arm_hedge(RequestId rid, PendingOp& op) {
   op.hedge_timer = sim_.schedule_after(params_.hedge_delay_us, [this, rid, op_id] {
     const auto req_it = pending_.find(rid);
     if (req_it == pending_.end()) return;
-    auto& ops = req_it->second.ops;
-    const auto it = std::find_if(ops.begin(), ops.end(), [&](const PendingOp& o) {
-      return o.op_id == op_id;
-    });
-    if (it == ops.end() || it->done || it->hedged) return;
+    PendingRequest& req = req_it->second;
+    const std::size_t index = op_index(req, op_id);
+    PendingOp* const it = &req.ops[index];
+    if (it->done || it->hedged) return;
     // Pick the best OTHER replica under the current learned view. Hedging to
     // a suspected replica only doubles the load on a host that is not
     // answering, so pick_alternate skips suspects.
@@ -459,12 +456,18 @@ void Client::arm_hedge(RequestId rid, PendingOp& op) {
     if (alternate == kInvalidServer) return;  // no distinct live replica
     it->hedged = true;
     ++ops_hedged_;
-    send_op_(alternate, it->sent_ctx);
+    resend(alternate, req.sent[index]);
     if (tracer_ != nullptr) {
       tracer_->op_send(sim_.now(), op_id, rid, params_.id, alternate,
                        it->demand_us, /*resend=*/true);
     }
   });
+}
+
+void Client::resend(ServerId server, const sched::OpContext& ctx) {
+  op_sends_.clear();
+  op_sends_.push_back(OpSend{server, ctx});
+  send_ops_(op_sends_);
 }
 
 void Client::arm_retry(RequestId rid, PendingOp& op) {
@@ -482,11 +485,10 @@ void Client::arm_retry(RequestId rid, PendingOp& op) {
   op.retry_timer = sim_.schedule_after(timeout, [this, rid, op_id] {
     const auto req_it = pending_.find(rid);
     if (req_it == pending_.end()) return;
-    auto& ops = req_it->second.ops;
-    const auto it = std::find_if(ops.begin(), ops.end(), [&](const PendingOp& o) {
-      return o.op_id == op_id;
-    });
-    if (it == ops.end() || it->done) return;
+    PendingRequest& req = req_it->second;
+    const std::size_t index = op_index(req, op_id);
+    PendingOp* const it = &req.ops[index];
+    if (it->done) return;
     // Failure detection: one more consecutive unanswered timeout against
     // this server.
     note_rto(it->server);
@@ -497,8 +499,8 @@ void Client::arm_retry(RequestId rid, PendingOp& op) {
     }
     ++it->attempts;
     ++ops_retransmitted_;
-    maybe_fail_over(req_it->second, *it);
-    send_op_(it->server, it->sent_ctx);
+    maybe_fail_over(req, *it);
+    resend(it->server, req.sent[index]);
     if (tracer_ != nullptr) {
       tracer_->op_send(sim_.now(), op_id, rid, params_.id, it->server,
                        it->demand_us, /*resend=*/true);
@@ -520,7 +522,7 @@ void Client::note_rto(ServerId server) {
 void Client::maybe_fail_over(PendingRequest& req, PendingOp& op) {
   // Writes are fanned out to every replica already — a write retry must keep
   // hammering its own replica. Reads can move.
-  if (params_.replication < 2 || op.sent_ctx.is_write) return;
+  if (params_.replication < 2 || op.is_write) return;
   if (suspected_[op.server] == 0) return;
   const auto replicas = partitioner_.replicas_for(op.key, params_.replication);
   const ServerId best = selector_->pick_alternate(
@@ -539,7 +541,6 @@ void Client::abandon_op(RequestId rid, PendingOp& op) {
   // doing and the op counts as shed instead.
   op.done = true;
   sim_.cancel(op.hedge_timer);
-  op_to_request_.erase(op.op_id);
   ++ops_abandoned_;
   const auto req_it = pending_.find(rid);
   DAS_CHECK(req_it != pending_.end());
@@ -559,7 +560,6 @@ void Client::shed_op(RequestId rid, PendingOp& op) {
   op.done = true;
   sim_.cancel(op.retry_timer);
   sim_.cancel(op.hedge_timer);
-  op_to_request_.erase(op.op_id);
   const auto req_it = pending_.find(rid);
   DAS_CHECK(req_it != pending_.end());
   PendingRequest& req = req_it->second;
@@ -598,15 +598,7 @@ void Client::finalize_degraded(RequestId rid) {
   pending_.erase(req_it);
 }
 
-void Client::on_shed_response(const OpResponse& resp, RequestId rid) {
-  const auto req_it = pending_.find(rid);
-  DAS_CHECK_MSG(req_it != pending_.end(), "shed response for settled request");
-  PendingRequest& req = req_it->second;
-  const auto pop =
-      std::find_if(req.ops.begin(), req.ops.end(),
-                   [&](const PendingOp& op) { return op.op_id == resp.op_id; });
-  DAS_CHECK(pop != req.ops.end());
-  DAS_CHECK_MSG(!pop->done, "shed response for settled op");
+void Client::on_shed_response(RequestId rid, PendingRequest& req, PendingOp& op) {
   // Every BUSY is an overload signal for the AIMD throttle, whether or not
   // the op survives via retry.
   if (admission_ != nullptr) admission_->on_overload(req.tenant);
@@ -614,10 +606,10 @@ void Client::on_shed_response(const OpResponse& resp, RequestId rid) {
     // The retry timer armed at send is still running: the retransmission
     // path (backoff, jitter, failover, give-up budget) handles the redo.
     // The explicit BUSY just told us sooner than silence would have.
-    pop->busy_rejected = true;
+    op.busy_rejected = true;
     return;
   }
-  shed_op(rid, *pop);
+  shed_op(rid, op);
 }
 
 void Client::on_response(const OpResponse& resp) {
@@ -628,8 +620,15 @@ void Client::on_response(const OpResponse& resp) {
   rto_strikes_[resp.server] = 0;
   suspected_[resp.server] = 0;
 
-  const auto op_it = op_to_request_.find(resp.op_id);
-  if (op_it == op_to_request_.end()) {
+  // An op is outstanding while its request is pending and the op itself is
+  // unsettled (not answered, abandoned, shed or expired).
+  const RequestId rid = resp.request_id;
+  const auto req_it = pending_.find(rid);
+  PendingOp* const pop =
+      req_it == pending_.end()
+          ? nullptr
+          : &req_it->second.ops[op_index(req_it->second, resp.op_id)];
+  if (pop == nullptr || pop->done) {
     // With retransmission or hedging enabled, a second copy of a served op
     // yields a duplicate response; with the overload layer on, a server-side
     // shed of an already-settled request lands here too (a kExpired shed
@@ -652,23 +651,14 @@ void Client::on_response(const OpResponse& resp) {
     mu_est_[resp.server] +=
         params_.ewma_alpha * (resp.mu_hat - mu_est_[resp.server]);
   }
-  const RequestId rid = op_it->second;
+  PendingRequest& req = req_it->second;
   if (resp.status != OpStatus::kOk) {
-    // The op was shed server-side; it is still pending (the mapping stays
-    // while the retry path may yet rescue it).
-    on_shed_response(resp, rid);
+    // The op was shed server-side; it stays outstanding while the retry
+    // path may yet rescue it.
+    on_shed_response(rid, req, *pop);
     return;
   }
-  op_to_request_.erase(op_it);
 
-  const auto req_it = pending_.find(rid);
-  DAS_CHECK_MSG(req_it != pending_.end(), "response for completed request");
-  PendingRequest& req = req_it->second;
-
-  const auto pop = std::find_if(req.ops.begin(), req.ops.end(),
-                                [&](const PendingOp& op) { return op.op_id == resp.op_id; });
-  DAS_CHECK(pop != req.ops.end());
-  DAS_CHECK_MSG(!pop->done, "duplicate response");
   pop->done = true;
   pop->delivered_at = now;
   pop->timing = resp.timing;
@@ -726,11 +716,11 @@ void Client::on_response(const OpResponse& resp) {
   for (const PendingOp& op : req.ops) {
     if (op.done) continue;
     remaining_demand += op.demand_us;
-    new_critical =
-        std::max(new_critical, service_estimate_us(op.server, op.demand_us));
+    const double service = service_estimate_us(op.server, op.demand_us);
+    new_critical = std::max(new_critical, service);
     ServerAgg& agg = server_agg(op.server);
-    agg.max_full_estimate = std::max(agg.max_full_estimate,
-                                     full_estimate(now, op.server, op.demand_us));
+    agg.max_full_estimate =
+        std::max(agg.max_full_estimate, full_estimate(now, op.server, service));
   }
   // Send when either the critical path (das-crit's key) or the total
   // remaining (the SRPT-first key of das and req-srpt) moved by more than the
@@ -747,14 +737,16 @@ void Client::on_response(const OpResponse& resp) {
   // One update per distinct server still holding pending ops; the deferral
   // bound is per destination (max full estimate over the OTHER servers).
   const TopTwo top(server_scratch_);
+  progress_sends_.clear();
   for (const ServerAgg& agg : server_scratch_) {
-    sched::ProgressUpdate update;
+    sched::ProgressUpdate& update =
+        progress_sends_.emplace_back(agg.server).update;
     update.remaining_critical_us = new_critical;
     update.est_other_completion = top.excluding(agg.server);
     update.remaining_total_us = remaining_demand;
-    send_progress_(agg.server, rid, update);
-    ++progress_sent_;
   }
+  send_progress_(rid, progress_sends_);
+  progress_sent_ += progress_sends_.size();
 }
 
 }  // namespace das::core

@@ -10,8 +10,10 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -107,16 +109,30 @@ class Client {
     const workload::ReplayTrace* replay = nullptr;
   };
 
-  using SendOp = std::function<void(ServerId, const sched::OpContext&)>;
+  /// One op of a dispatch fan-out and where it goes.
+  struct OpSend {
+    ServerId server = 0;
+    sched::OpContext ctx;
+  };
+  /// One update of a progress fan-out and where it goes.
+  struct ProgressSend {
+    ServerId server = 0;
+    sched::ProgressUpdate update;
+  };
+  /// Hands the network every op the client sends at one instant: all ops of
+  /// a new request, or the single op of a retransmission or hedge.
+  using SendOps = std::function<void(std::span<const OpSend>)>;
+  /// Hands the network one progress fan-out: an update of request `rid` for
+  /// each server still holding its pending ops.
   using SendProgress =
-      std::function<void(ServerId, RequestId, const sched::ProgressUpdate&)>;
+      std::function<void(RequestId, std::span<const ProgressSend>)>;
 
   /// Multi-tenant form: one TenantStream per tenant. `key_sizes` is the
   /// shared size catalogue; writes update it in place (the writer knows the
   /// size it wrote; other clients' estimates converge on their next access).
   Client(sim::Simulator& sim, Params params, Rng rng,
          std::vector<TenantStream> tenants, const store::Partitioner& partitioner,
-         std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
+         std::vector<Bytes>& key_sizes, Metrics& metrics, SendOps send_ops,
          SendProgress send_progress);
 
   /// Single-stream form (the legacy workload): wraps `generator` + `arrivals`
@@ -124,7 +140,7 @@ class Client {
   Client(sim::Simulator& sim, Params params, Rng rng,
          const workload::MultigetGenerator& generator,
          workload::ArrivalPtr arrivals, const store::Partitioner& partitioner,
-         std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
+         std::vector<Bytes>& key_sizes, Metrics& metrics, SendOps send_ops,
          SendProgress send_progress);
 
   Client(const Client&) = delete;
@@ -205,8 +221,7 @@ class Client {
     KeyId key = 0;
     double demand_us = 0;
     bool done = false;
-    /// Message as originally sent, kept for retransmission/hedging.
-    sched::OpContext sent_ctx;
+    bool is_write = false;
     sim::EventHandle retry_timer;
     sim::EventHandle hedge_timer;
     std::uint32_t attempts = 1;
@@ -224,6 +239,9 @@ class Client {
     /// Index of the tenant that generated the request (0 in legacy mode).
     std::uint32_t tenant = 0;
     std::vector<PendingOp> ops;
+    /// The ops' messages as first sent, index-aligned with `ops`; kept only
+    /// when a retransmission or a hedge may send them again.
+    std::vector<sched::OpContext> sent;
     std::size_t remaining = 0;
     double last_sent_critical = 0;
     double last_sent_total = 0;
@@ -280,7 +298,12 @@ class Client {
   void reset_server_scratch();
   /// The scratch aggregate of `server`, appended on first touch so the
   /// scratch lists servers in first-touch order.
-  ServerAgg& server_agg(ServerId server);
+  ServerAgg& server_agg(ServerId server) {
+    const std::uint32_t index = scratch_index_[server];
+    return index != kUntouched ? server_scratch_[index] : touch_server(server);
+  }
+  /// server_agg's first touch of `server`: appends its aggregate.
+  ServerAgg& touch_server(ServerId server);
 
   void schedule_next_arrival(std::size_t tenant, SimTime horizon);
   void generate_request(std::size_t tenant);
@@ -304,8 +327,9 @@ class Client {
   select::LearnedView learned_view() const;
   /// Intrinsic service-time estimate of one op (demand over learned speed).
   double service_estimate_us(ServerId server, double demand) const;
-  /// Full completion estimate of one op if sent now (rtt + queueing + service).
-  SimTime full_estimate(SimTime now, ServerId server, double demand) const;
+  /// Full completion estimate of one op if sent now (rtt + queueing +
+  /// service), given its service estimate.
+  SimTime full_estimate(SimTime now, ServerId server, double service_us) const;
 
   sim::Simulator& sim_;
   Params params_;
@@ -314,7 +338,7 @@ class Client {
   const store::Partitioner& partitioner_;
   std::vector<Bytes>& key_sizes_;
   Metrics& metrics_;
-  SendOp send_op_;
+  SendOps send_ops_;
   SendProgress send_progress_;
   trace::Tracer* tracer_ = nullptr;
   trace::BreakdownCollector* breakdown_ = nullptr;
@@ -332,13 +356,17 @@ class Client {
   /// and the replica set of the key being placed.
   std::vector<PlannedOp> plan_scratch_;
   std::vector<ServerId> replica_scratch_;
+  /// Outgoing fan-outs, likewise reused.
+  std::vector<OpSend> op_sends_;
+  std::vector<ProgressSend> progress_sends_;
   /// The replica-selection strategy (src/select); shared by fresh picks,
   /// hedges and failovers so their ranking logic cannot diverge again.
   std::unique_ptr<select::ReplicaSelector> selector_;
-  // Lookup-only tables (never iterated): FlatMap keeps them deterministic
+  // Lookup-only table (never iterated): FlatMap keeps it deterministic
   // across standard libraries and off the per-response allocation path.
+  // Responses find their request by the id they echo, then their op by
+  // op_index().
   FlatMap<RequestId, PendingRequest> pending_;
-  FlatMap<OperationId, RequestId> op_to_request_;
 
   /// Jitter stream for retry backoff, forked off a COPY of the client RNG at
   /// construction so the workload draws stay bit-identical to jitter-free
@@ -382,6 +410,16 @@ class Client {
   std::uint64_t ops_abandoned_ = 0;
   std::uint64_t suspicions_raised_ = 0;
 
+  /// Index of op `op_id` in `req.ops`: ops of a request take consecutive
+  /// ids, so this is a subtraction, not a search.
+  static std::size_t op_index(const PendingRequest& req, OperationId op_id) {
+    DAS_CHECK(!req.ops.empty());
+    const OperationId index = op_id - req.ops.front().op_id;
+    DAS_CHECK_MSG(index < req.ops.size(), "op id outside its request");
+    return static_cast<std::size_t>(index);
+  }
+  /// Sends one op on its own (a retransmission or a hedge).
+  void resend(ServerId server, const sched::OpContext& ctx);
   /// Arms (or re-arms) the retransmission timer for an op of `rid`.
   void arm_retry(RequestId rid, PendingOp& op);
   /// Arms the one-shot hedge timer for an op of `rid`.
@@ -393,9 +431,10 @@ class Client {
   /// Retry budget exhausted: the op is declared failed (or shed, if its last
   /// word from the server was BUSY); finalizes once no op remains in flight.
   void abandon_op(RequestId rid, PendingOp& op);
-  /// A BUSY response arrived for a pending op: feed the admission throttle
-  /// and either lean on the armed retry timer or shed the op terminally.
-  void on_shed_response(const OpResponse& resp, RequestId rid);
+  /// A BUSY response arrived for outstanding op `op` of `req` (id `rid`):
+  /// feed the admission throttle and either lean on the armed retry timer or
+  /// shed the op terminally.
+  void on_shed_response(RequestId rid, PendingRequest& req, PendingOp& op);
   /// Terminally sheds one op (mirrors abandon_op with shed attribution).
   void shed_op(RequestId rid, PendingOp& op);
   /// remaining == 0 with shed_ops or failed_ops: settles the request as

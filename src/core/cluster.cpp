@@ -250,18 +250,31 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                                        : config_.value_size_bytes;
     params.overload = config_.overload;
 
-    auto send_op = [this](ServerId server, const sched::OpContext& ctx) {
-      net_->send(client_node(ctx.client), server_node(server),
-                 wire::op_wire_size(ctx),
-                 [this, server, ctx] { servers_[server]->receive_op(ctx); });
+    const auto client_id = static_cast<ClientId>(c);
+    auto send_ops = [this, client_id](std::span<const Client::OpSend> sends) {
+      const std::uint32_t id = acquire_fanout();
+      Fanout& fanout = fanouts_[id];
+      fanout.progress = false;
+      for (const Client::OpSend& send : sends) {
+        fanout.msgs.push_back(
+            {server_node(send.server), wire::op_wire_size(send.ctx)});
+        fanout.ops.push_back(send.ctx);
+      }
+      route_fanout(client_id, id);
     };
-    auto send_progress = [this, c](ServerId server, RequestId rid,
-                                   const sched::ProgressUpdate& update) {
-      ++progress_messages_;
-      net_->send(client_node(static_cast<ClientId>(c)), server_node(server),
-                 wire::progress_wire_size(), [this, server, rid, update] {
-                   servers_[server]->receive_progress(rid, update);
-                 });
+    auto send_progress = [this, client_id](
+                             RequestId rid,
+                             std::span<const Client::ProgressSend> sends) {
+      progress_messages_ += sends.size();
+      const std::uint32_t id = acquire_fanout();
+      Fanout& fanout = fanouts_[id];
+      fanout.progress = true;
+      fanout.request = rid;
+      for (const Client::ProgressSend& send : sends) {
+        fanout.msgs.push_back({server_node(send.server), wire::progress_wire_size()});
+        fanout.updates.push_back(send.update);
+      }
+      route_fanout(client_id, id);
     };
 
     const auto make_arrivals = [&](double rate) -> workload::ArrivalPtr {
@@ -275,7 +288,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
       clients_.push_back(std::make_unique<Client>(
           sim_, params, master.fork(0xC11E47 + c), *generator_,
           make_arrivals(per_client_rate), *partitioner_, key_sizes_, metrics_,
-          std::move(send_op), std::move(send_progress)));
+          std::move(send_ops), std::move(send_progress)));
     } else {
       params.num_clients = config_.num_clients;
       std::vector<Client::TenantStream> streams(tenant_count);
@@ -299,7 +312,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
       }
       clients_.push_back(std::make_unique<Client>(
           sim_, params, master.fork(0xC11E47 + c), std::move(streams),
-          *partitioner_, key_sizes_, metrics_, std::move(send_op),
+          *partitioner_, key_sizes_, metrics_, std::move(send_ops),
           std::move(send_progress)));
     }
     if (tracer_ != nullptr) clients_.back()->set_tracer(tracer_);
@@ -309,6 +322,50 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   // The breakdown uses the same measurement window as the metrics.
   breakdown_.set_window(window_.warmup_us, window_.horizon());
   breakdown_.set_retain_cap(config_.breakdown_retain_requests);
+}
+
+std::uint32_t Cluster::acquire_fanout() {
+  if (free_fanouts_.empty()) {
+    fanouts_.emplace_back();
+    return static_cast<std::uint32_t>(fanouts_.size() - 1);
+  }
+  const std::uint32_t id = free_fanouts_.back();
+  free_fanouts_.pop_back();
+  Fanout& fanout = fanouts_[id];
+  fanout.msgs.clear();
+  fanout.ops.clear();
+  fanout.updates.clear();
+  return id;
+}
+
+void Cluster::route_fanout(ClientId client, std::uint32_t id) {
+  Fanout& fanout = fanouts_[id];
+  fanout.events = net_->send_fanout(
+      client_node(client), fanout.msgs, [this, id](std::uint32_t index) {
+        return [this, id, index] { deliver_fanout(id, index); };
+      });
+  if (fanout.events == 0) free_fanouts_.push_back(id);
+}
+
+void Cluster::deliver_fanout(std::uint32_t id, std::uint32_t index) {
+  Fanout& fanout = fanouts_[id];
+  // Server ids are their node ids. A crashed server drops what reaches it.
+  const auto receive = [&](std::size_t i) {
+    Server& server = *servers_[fanout.msgs[i].to];
+    if (fanout.progress) {
+      server.receive_progress(fanout.request, fanout.updates[i]);
+    } else {
+      server.receive_op(fanout.ops[i]);
+    }
+  };
+  if (index == net::kAllDelivered) {
+    for (std::size_t i = 0; i < fanout.msgs.size(); ++i) {
+      if (fanout.msgs[i].delivered) receive(i);
+    }
+  } else {
+    receive(index);
+  }
+  if (--fanout.events == 0) free_fanouts_.push_back(id);
 }
 
 void Cluster::populate_servers(std::uint64_t universe, std::size_t replication) {

@@ -2,6 +2,8 @@
 // one runnable system and collects the results.
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -43,6 +45,7 @@ class Cluster {
 
   // Introspection for tests.
   sim::Simulator& simulator() { return sim_; }
+  const net::Network& network() const { return *net_; }
   const Metrics& metrics() const { return metrics_; }
   const ClusterConfig& config() const { return config_; }
   Server& server(std::size_t i) { return *servers_.at(i); }
@@ -79,6 +82,31 @@ class Cluster {
   /// FaultPlan entry) and mirrors it into the trace as an instant event.
   void apply_fault(const fault::FaultEvent& event);
 
+  /// One client fan-out in flight: its messages as the network routed them
+  /// and, index-aligned, their payloads — op contexts, or the progress
+  /// updates of `request`. Pooled: a fan-out whose last delivery has run
+  /// keeps its buffers for the next one, so steady-state sending allocates
+  /// nothing.
+  struct Fanout {
+    std::vector<net::Message> msgs;
+    std::vector<sched::OpContext> ops;
+    std::vector<sched::ProgressUpdate> updates;
+    RequestId request = 0;
+    bool progress = false;
+    /// Delivery events still scheduled; the fan-out is recycled at zero.
+    std::uint32_t events = 0;
+  };
+
+  /// An empty fan-out from the pool; returns its index in fanouts_.
+  std::uint32_t acquire_fanout();
+  /// Hands fan-out `id` of client `client` to the network, which decides
+  /// each message and schedules the deliveries.
+  void route_fanout(ClientId client, std::uint32_t id);
+  /// Delivery event of fan-out `id`: message `index` reaches its server (all
+  /// delivered messages, in send order, for net::kAllDelivered). Recycles
+  /// the fan-out after its last delivery event.
+  void deliver_fanout(std::uint32_t id, std::uint32_t index);
+
   net::NodeId server_node(ServerId s) const { return s; }
   net::NodeId client_node(ClientId c) const {
     return static_cast<net::NodeId>(config_.num_servers + c);
@@ -102,6 +130,9 @@ class Cluster {
   trace::BreakdownCollector breakdown_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
+  /// The fan-out pool (a deque: references stay valid as it grows).
+  std::deque<Fanout> fanouts_;
+  std::vector<std::uint32_t> free_fanouts_;
   std::uint64_t progress_messages_ = 0;
   bool ran_ = false;
 };

@@ -147,8 +147,7 @@ void Network::set_burst_loss(double p) {
   burst_loss_ = p;
 }
 
-void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
-  DAS_CHECK(deliver != nullptr);
+bool Network::admit(NodeId from, NodeId to, Bytes size) {
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
   // Partition check first: it consumes no randomness, so cutting a link
@@ -156,20 +155,20 @@ void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
   if (partitions_active_ > 0 && partitioned(from, to)) {
     ++stats_.messages_dropped;
     ++stats_.messages_dropped_partition;
-    return;
+    return false;
   }
   if (config_.loss_probability > 0 && rng_.chance(config_.loss_probability)) {
     ++stats_.messages_dropped;
-    return;
+    return false;
   }
   if (burst_loss_ > 0 && rng_.chance(burst_loss_)) {
     ++stats_.messages_dropped;
-    return;
+    return false;
   }
-  if (use_lane_) {
-    sim_.schedule_fifo(sim_.now() + lane_latency_, std::move(deliver));
-    return;
-  }
+  return true;
+}
+
+SimTime Network::heap_arrival(NodeId from, NodeId to, Bytes size) {
   Duration delay = config_.latency->sample(rng_);
   if (config_.bandwidth_bytes_per_us > 0) {
     delay += static_cast<double>(size) / config_.bandwidth_bytes_per_us;
@@ -180,7 +179,21 @@ void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
     arrival = std::max(arrival, *last);
     *last = arrival;
   }
-  sim_.schedule_at(arrival, std::move(deliver));
+  return arrival;
+}
+
+void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
+  DAS_CHECK(deliver != nullptr);
+  ++stats_.fanouts_sent;
+  if (!admit(from, to, size)) {
+    ++stats_.fanouts_lost;
+    return;
+  }
+  if (use_lane_) {
+    sim_.schedule_fifo(sim_.now() + lane_latency_, std::move(deliver));
+  } else {
+    sim_.schedule_at(heap_arrival(from, to, size), std::move(deliver));
+  }
 }
 
 }  // namespace das::net

@@ -7,19 +7,29 @@
 // connection — because schedulers downstream rely on feedback arriving in
 // causal order.
 //
-// With a constant latency and no bandwidth term every message arrives
-// exactly `latency` after it is sent, so arrival times never decrease in send
-// order: such a network schedules its deliveries on the simulator's FIFO
-// lane (O(1) instead of a heap push and pop) and skips the per-link clamp,
-// which is the identity there. Jittered or bandwidth-limited networks use
-// the heap. Dispatch order is the same either way.
+// A sender hands over either one message (send) or a fan-out: every message
+// it emits at one instant, e.g. all ops of a request or all updates of one
+// progress round (send_fanout). Each message of a fan-out is counted, checked
+// against the partitions and drawn for loss in send order, exactly as a
+// run of single sends would be. What a fan-out saves is events: with a
+// constant latency and no bandwidth term every message arrives exactly
+// `latency` after it is sent, so the surviving messages of a fan-out share
+// ONE delivery event on the simulator's FIFO lane (O(1) instead of a heap
+// push and pop per message), which runs their receivers in send order. Such
+// a network skips the per-link clamp, the identity there. A jittered or
+// bandwidth-limited network gives each surviving message its own heap event
+// at its own sampled arrival. Dispatch order is the same either way: the
+// sends of a fan-out take consecutive sequence numbers at one time, so
+// nothing else can run between them.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -59,7 +69,23 @@ struct NetworkStats {
   /// Subset of messages_dropped destroyed by a link partition (fault layer).
   std::uint64_t messages_dropped_partition = 0;
   Bytes bytes_sent = 0;
+  /// Message groups handed over: one per send(), one per send_fanout().
+  std::uint64_t fanouts_sent = 0;
+  /// Subset of fanouts_sent in which every message was dropped (nothing
+  /// scheduled).
+  std::uint64_t fanouts_lost = 0;
 };
+
+/// One message of a fan-out: its destination and size on the wire, and —
+/// filled in by send_fanout — whether it survived the partitions and loss.
+struct Message {
+  NodeId to = 0;
+  Bytes size = 0;
+  bool delivered = false;
+};
+
+/// send_fanout's delivery index for "every delivered message, in order".
+inline constexpr std::uint32_t kAllDelivered = 0xFFFFFFFFu;
 
 class Network {
  public:
@@ -89,6 +115,46 @@ class Network {
   /// convert to a temporary EventFn at the call site).
   void send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver);
 
+  /// Sends every message of `msgs` from `from`, deciding each one in order
+  /// exactly as send() would, and records the outcome in Message::delivered.
+  /// `make_delivery(index)` builds a delivery callback: on a constant-latency
+  /// network it is called once, with kAllDelivered, and its callback runs on
+  /// the lane at the one instant every delivered message arrives; otherwise
+  /// it is called once per delivered message, with that message's index,
+  /// and each callback is scheduled at that message's own arrival. Nothing
+  /// is built when every message is dropped. `msgs` must outlive the
+  /// deliveries. Returns the number of delivery events scheduled.
+  template <typename MakeDelivery>
+  std::uint32_t send_fanout(NodeId from, std::span<Message> msgs,
+                            MakeDelivery&& make_delivery) {
+    DAS_CHECK(!msgs.empty());
+    ++stats_.fanouts_sent;
+    std::uint32_t events = 0;
+    if (use_lane_) {
+      bool any = false;
+      for (Message& m : msgs) {
+        m.delivered = admit(from, m.to, m.size);
+        any = any || m.delivered;
+      }
+      if (any) {
+        sim_.schedule_fifo(sim_.now() + lane_latency_, make_delivery(kAllDelivered));
+        events = 1;
+      }
+    } else {
+      // Admission and the latency draw interleave per message, as in a run
+      // of single sends.
+      for (std::uint32_t i = 0; i < msgs.size(); ++i) {
+        Message& m = msgs[i];
+        m.delivered = admit(from, m.to, m.size);
+        if (!m.delivered) continue;
+        sim_.schedule_at(heap_arrival(from, m.to, m.size), make_delivery(i));
+        ++events;
+      }
+    }
+    if (events == 0) ++stats_.fanouts_lost;
+    return events;
+  }
+
   /// Fault layer: cuts (or heals) the undirected link between `a` and `b`.
   /// While cut, every message on the link is destroyed — before any RNG
   /// draw, so partitions never perturb the loss/latency streams of the
@@ -107,13 +173,19 @@ class Network {
   Duration mean_latency() const { return config_.latency->mean(); }
 
  private:
+  /// Counts a message and decides whether it survives: false when a
+  /// partition, the base loss or a loss burst destroys it.
+  bool admit(NodeId from, NodeId to, Bytes size);
+  /// Arrival of a surviving message off the lane: sampled latency plus
+  /// serialisation, clamped to keep per-link FIFO order.
+  SimTime heap_arrival(NodeId from, NodeId to, Bytes size);
   SimTime* link_last_slot(NodeId from, NodeId to);
   char& partition_slot(NodeId from, NodeId to);
 
   sim::Simulator& sim_;
   Config config_;
-  /// Deliveries go on the simulator's FIFO lane, each `lane_latency_` after
-  /// its send (constant latency, no bandwidth term); fixed at construction.
+  /// Deliveries go on the simulator's FIFO lane, `lane_latency_` after their
+  /// send (constant latency, no bandwidth term); fixed at construction.
   bool use_lane_ = false;
   Duration lane_latency_ = 0;
   Rng rng_;

@@ -124,16 +124,20 @@ double DasScheduler::active_key(const OpContext& op) const {
              : op.remaining_critical_us;
 }
 
+void DasScheduler::begin_deferral(Record& rec, SimTime now) {
+  ++total_deferrals_;
+  rec.defer_started = now;
+  if (tracer_ != nullptr) {
+    tracer_->op_defer(now, rec.op.op_id, rec.op.request_id, tracer_server_,
+                      rec.op.est_other_completion);
+  }
+}
+
 void DasScheduler::place(Slot slot, Record& rec, SimTime now) {
   rec.in_deferred = safe_to_defer(rec.op.est_other_completion, now);
   if (rec.in_deferred) {
-    ++total_deferrals_;
-    rec.defer_started = now;
     deferred_.push({rec.op.est_other_completion, rec.serial, slot}, heap_pos_);
-    if (tracer_ != nullptr) {
-      tracer_->op_defer(now, rec.op.op_id, rec.op.request_id, tracer_server_,
-                        rec.op.est_other_completion);
-    }
+    begin_deferral(rec, now);
   } else {
     active_.push({active_key(rec.op), rec.serial, slot}, heap_pos_);
   }
@@ -272,6 +276,10 @@ void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& 
                                        SimTime now) {
   const auto it = by_request_.find(request);
   if (it == by_request_.end()) return;
+  // Every queued op of the request takes the same new tags, so whether it may
+  // be deferred is one decision for all of them (re-keying does not change
+  // the backlog the test reads).
+  const bool defer = safe_to_defer(update.est_other_completion, now);
   // Re-key every queued op of the request and re-evaluate its deferral.
   for (Slot slot = it->second.head; slot != kNoSlot;
        slot = slab_[slot].next_sibling) {
@@ -282,11 +290,24 @@ void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& 
       continue;
     }
     const double old_key = active_key(rec.op);
-    unlink(slot, rec, now);
+    // An op that stays in its set is re-keyed where it sits (one sift); one
+    // that crosses between the runnable and deferred sets goes through
+    // unlink + place. A deferred op that stays deferred still closes its
+    // deferral episode and opens a new one, exactly as unlink + place would.
+    const bool crosses = rec.in_deferred != defer;
+    if (crosses) unlink(slot, rec, now);
     rec.op.remaining_critical_us = update.remaining_critical_us;
     rec.op.est_other_completion = update.est_other_completion;
     rec.op.total_demand_us = update.remaining_total_us;
-    place(slot, rec, now);
+    if (crosses) {
+      place(slot, rec, now);
+    } else if (defer) {
+      rec.op.deferred_wait_us += now - rec.defer_started;
+      deferred_.update(heap_pos_[slot], rec.op.est_other_completion, heap_pos_);
+      begin_deferral(rec, now);
+    } else {
+      active_.update(heap_pos_[slot], active_key(rec.op), heap_pos_);
+    }
     ++reranks_;
     if (tracer_ != nullptr) {
       tracer_->op_rerank(now, rec.op.op_id, rec.op.request_id, tracer_server_,

@@ -42,7 +42,8 @@
 // several times the op rate: records live in a dense slab recycled through a
 // free list, the runnable and deferred sets are indexed min-heaps over slab
 // slots (sched/order_heap.hpp) ordered by (key, arrival number), and each
-// request's queued ops form an intrusive list through the slab. Once the
+// request's queued ops form an intrusive list through the slab. A re-rank
+// that keeps an op in its set is one sift where the op sits. Once the
 // structures have grown to their high-water marks, enqueue, dequeue and
 // re-rank allocate nothing.
 #pragma once
@@ -152,6 +153,9 @@ class DasScheduler final : public SchedulerBase {
   bool safe_to_defer(SimTime est_other_completion, SimTime now) const;
   std::size_t live_records() const { return slab_.size() - free_slots_.size(); }
   bool fifo_live(const FifoEntry& f) const { return slab_[f.slot].serial == f.serial; }
+  /// Opens a deferral episode of a record just put in the deferred set:
+  /// counts, stamps and traces it.
+  void begin_deferral(Record& rec, SimTime now);
   void place(Slot slot, Record& rec, SimTime now);
   void unlink(Slot slot, Record& rec, SimTime now);
   OpContext finish(Slot slot, SimTime now);

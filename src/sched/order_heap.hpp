@@ -10,9 +10,11 @@
 // shrunk: once it has grown to the high-water mark, insert and erase
 // allocate nothing (a node-based set allocates a tree node per insert).
 //
-// DAS needs exactly three operations — the minimum, insert and erase by
-// position — at any depth from a handful of ops to the thousands an
-// overloaded server queues, which is what a d-ary heap gives at O(log n).
+// DAS needs exactly four operations — the minimum, insert, erase by position
+// and re-key by position (a progress message moving a queued op) — at any
+// depth from a handful of ops to the thousands an overloaded server queues,
+// which is what a d-ary heap gives at O(log n). A re-key is one sift from
+// where the entry sits, not an erase plus an insert.
 // Four children per node keep the tree shallow and a node's children in one
 // cache line.
 #pragma once
@@ -60,6 +62,18 @@ class OrderHeap {
     if (i > 0 && before(last, entries_[(i - 1) / kArity])) {
       sift_up(i, pos);
     } else {
+      sift_down(i, pos);
+    }
+  }
+
+  /// Gives the entry at index `i` (< size()) the key `key` and restores the
+  /// order with one sift. The serial stays, so the order stays total.
+  void update(std::size_t i, double key, std::vector<std::uint32_t>& pos) {
+    const double old_key = entries_[i].key;
+    entries_[i].key = key;
+    if (key < old_key) {
+      sift_up(i, pos);
+    } else if (key > old_key) {
       sift_down(i, pos);
     }
   }

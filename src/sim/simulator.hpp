@@ -12,8 +12,9 @@
 //
 // Beside the heap sits one FIFO lane: a ring buffer for producers whose event
 // times never decrease in scheduling order — a constant-latency network's
-// deliveries, which are most events of a DAS run. A lane event costs an O(1)
-// append and an O(1) pop instead of two O(log n) sifts. Lane and heap entries
+// deliveries, one event per response and one per client fan-out (all ops of
+// a request, or all updates of one progress round). A lane event costs an
+// O(1) append and an O(1) pop instead of two O(log n) sifts. Lane and heap entries
 // share one sequence counter, and each dispatch takes whichever of the lane
 // front and the heap top is smaller by (t, seq), so the lane changes nothing
 // about the dispatch order. Lane events cannot be cancelled.
@@ -41,9 +42,10 @@
 
 namespace das::sim {
 
-/// Event callback. The inline capacity is sized for the largest hot-path
-/// closure (the cluster's per-op send capture, an OpContext plus pointers);
-/// anything bigger falls back to the heap rather than failing to compile.
+/// Event callback. The inline capacity holds every hot-path closure with room
+/// to spare (the largest is the cluster's response delivery, an OpResponse
+/// plus a pointer); anything bigger falls back to the heap rather than
+/// failing to compile.
 using EventFn = SmallFn<192>;
 
 /// Opaque ticket for a scheduled event; valid until the event fires or is

@@ -28,6 +28,9 @@ struct ClientFixture : ::testing::Test {
   std::vector<Bytes> key_sizes = std::vector<Bytes>(64, 100);  // demand 10+100/50=12us
   std::vector<SentOp> sent_ops;
   std::vector<SentProgress> sent_progress;
+  /// Calls of the two send hooks: each is one fan-out.
+  std::size_t op_fanouts = 0;
+  std::size_t progress_fanouts = 0;
   std::unique_ptr<workload::MultigetGenerator> generator;
   std::unique_ptr<Client> client;
 
@@ -49,11 +52,17 @@ struct ClientFixture : ::testing::Test {
         sim, params, Rng{42}, *generator,
         workload::make_deterministic_arrivals(0.001),  // every 1000us
         *partitioner, key_sizes, metrics,
-        [this](ServerId s, const sched::OpContext& ctx) {
-          sent_ops.push_back(SentOp{s, ctx});
+        [this](std::span<const Client::OpSend> ops) {
+          ++op_fanouts;
+          for (const Client::OpSend& op : ops) {
+            sent_ops.push_back(SentOp{op.server, op.ctx});
+          }
         },
-        [this](ServerId s, RequestId r, const sched::ProgressUpdate& u) {
-          sent_progress.push_back(SentProgress{s, r, u});
+        [this](RequestId r, std::span<const Client::ProgressSend> updates) {
+          ++progress_fanouts;
+          for (const Client::ProgressSend& u : updates) {
+            sent_progress.push_back(SentProgress{u.server, r, u.update});
+          }
         });
   }
 
@@ -81,6 +90,42 @@ TEST_F(ClientFixture, GeneratesRequestWithCorrectFanout) {
   EXPECT_EQ(client->requests_generated(), 1u);
   EXPECT_EQ(sent_ops.size(), 8u);
   EXPECT_EQ(client->ops_generated(), 8u);
+}
+
+TEST_F(ClientFixture, EachRequestAndProgressRoundIsOneFanout) {
+  // All ops of a request leave in one hand-over, and so do all updates of
+  // one progress round.
+  Client::Params p;
+  p.progress_threshold = 0.0;  // a progress round after every response
+  build(8, p);
+  client->start(2500.0);
+  sim.run();
+  EXPECT_EQ(client->requests_generated(), 2u);
+  EXPECT_EQ(op_fanouts, 2u);
+  EXPECT_EQ(sent_ops.size(), 16u);
+  const std::vector<SentOp> first(sent_ops.begin(), sent_ops.begin() + 8);
+  for (std::size_t i = 0; i + 1 < first.size(); ++i) {
+    respond(first[i]);
+    EXPECT_EQ(progress_fanouts, i + 1);
+  }
+  EXPECT_EQ(sent_progress.size(), client->progress_sent());
+  EXPECT_GT(sent_progress.size(), progress_fanouts);
+}
+
+TEST_F(ClientFixture, ResponsesFindTheirOpsAcrossRequests) {
+  // Responses index their op by its offset within the request; answering
+  // a later request's ops in reverse order must settle exactly those ops.
+  metrics.set_window(0, kTimeInfinity);
+  build(4);
+  client->start(2500.0);
+  sim.run();
+  ASSERT_EQ(sent_ops.size(), 8u);
+  for (std::size_t i = 8; i-- > 4;) respond(sent_ops[i]);
+  EXPECT_EQ(client->requests_completed(), 1u);
+  EXPECT_EQ(client->in_flight(), 1u);
+  EXPECT_THROW(respond(sent_ops[5]), std::logic_error);  // already settled
+  for (std::size_t i = 0; i < 4; ++i) respond(sent_ops[i]);
+  EXPECT_EQ(client->requests_completed(), 2u);
 }
 
 TEST_F(ClientFixture, OpsRoutedByPartitioner) {

@@ -49,10 +49,12 @@ struct RetryFixture : ::testing::Test {
         sim, params, Rng{42}, *generator,
         workload::make_deterministic_arrivals(0.001),  // one arrival at 1000us
         *partitioner, key_sizes, metrics,
-        [this](ServerId s, const sched::OpContext& ctx) {
-          sends.push_back(TimedSend{sim.now(), s, ctx.op_id, ctx});
+        [this](std::span<const Client::OpSend> ops) {
+          for (const Client::OpSend& op : ops) {
+            sends.push_back(TimedSend{sim.now(), op.server, op.ctx.op_id, op.ctx});
+          }
         },
-        [](ServerId, RequestId, const sched::ProgressUpdate&) {});
+        [](RequestId, std::span<const Client::ProgressSend>) {});
   }
 
   /// Send instants of one op, in order: index 0 is the original transmission.
@@ -149,10 +151,12 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
                   *partitioner,
                   key_sizes,
                   metrics,
-                  [&](ServerId, const sched::OpContext& ctx) {
-                    sends.emplace_back(sim.now(), ctx.op_id);
+                  [&](std::span<const Client::OpSend> ops) {
+                    for (const Client::OpSend& op : ops) {
+                      sends.emplace_back(sim.now(), op.ctx.op_id);
+                    }
                   },
-                  [](ServerId, RequestId, const sched::ProgressUpdate&) {}};
+                  [](RequestId, std::span<const Client::ProgressSend>) {}};
     client.start(1500.0);
     sim.run_until(1300.0);
     return sends;

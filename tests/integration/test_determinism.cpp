@@ -119,13 +119,16 @@ INSTANTIATE_TEST_SUITE_P(KeyPolicies, DeterminismBitIdentical,
 
 // --- network delivery path ---------------------------------------------------
 // A constant-latency network delivers every message it does not drop through
-// the simulator's FIFO lane; a jittered one keeps its deliveries on the heap.
-// Either way a run must stay deterministic.
+// the simulator's FIFO lane, one lane event per fan-out (a request's ops, one
+// progress round, a response, a retransmission) that kept at least one
+// message; a jittered one keeps one heap event per delivered message. Either
+// way a run must stay deterministic.
 
 struct PathRun {
   ExperimentResult result;
   std::uint64_t events = 0;
   std::uint64_t lane_events = 0;
+  net::NetworkStats net;
 };
 
 PathRun run_cluster(const ClusterConfig& cfg) {
@@ -134,6 +137,7 @@ PathRun run_cluster(const ClusterConfig& cfg) {
   run.result = cluster.run();
   run.events = cluster.simulator().events_dispatched();
   run.lane_events = cluster.simulator().lane_dispatched();
+  run.net = cluster.network().stats();
   return run;
 }
 
@@ -145,7 +149,13 @@ TEST(DeliveryPath, ConstantLatencyDeliversEveryMessageOnTheLane) {
     const PathRun a = run_cluster(cfg);
     EXPECT_GT(a.result.progress_messages, 0u) << "loss " << loss;
     EXPECT_EQ(a.result.net_messages_dropped > 0, loss > 0) << "loss " << loss;
-    EXPECT_EQ(a.lane_events,
+    EXPECT_EQ(a.net.messages_sent, a.result.net_messages) << "loss " << loss;
+    // Exactly one lane event per fan-out with a surviving message.
+    EXPECT_EQ(a.lane_events, a.net.fanouts_sent - a.net.fanouts_lost)
+        << "loss " << loss;
+    EXPECT_EQ(a.net.fanouts_lost > 0, loss > 0) << "loss " << loss;
+    // Fan-outs of several messages share their event.
+    EXPECT_LT(a.lane_events,
               a.result.net_messages - a.result.net_messages_dropped)
         << "loss " << loss;
     const PathRun b = run_cluster(cfg);

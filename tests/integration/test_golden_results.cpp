@@ -248,16 +248,21 @@ TEST(GoldenResults, PinnedTenantRowIsBitExact) {
 
 // --- scenario dimension -----------------------------------------------------
 //
-// The baselines that do not share DAS's code paths, plus req-srpt, under the
-// scenarios that reach their less-travelled paths: message loss with
-// retransmission, a crash that drains a server's queue, the LSM store with
-// 30% writes, and two tenants. A 1 ms aging bound (the default is 50 ms,
-// longer than the run) makes Rein's starvation guard fire. The rows were
-// generated while req-srpt still had its own scheduler class and Rein, SJF
-// and EDF still kept their queues in an ordered set; they prove the move to
-// DasScheduler, Rein's per-level FIFOs and the frozen-key heap bit-exact.
+// Every headline policy plus EDF under the scenarios that reach the
+// less-travelled paths: message loss with retransmission, a crash that
+// drains a server's queue, the LSM store with 30% writes, two tenants, and a
+// client-server partition that heals (retransmission carries the cut ops
+// across). A 1 ms aging bound (the default is 50 ms, longer than the run)
+// makes DAS's and Rein's starvation guards fire. The req-srpt, SJF, EDF and
+// Rein rows of the first four scenarios were generated while req-srpt still
+// had its own scheduler class and Rein, SJF and EDF still kept their queues
+// in an ordered set; they prove the move to DasScheduler, Rein's per-level
+// FIFOs and the frozen-key heap bit-exact. The das and fcfs rows and the
+// partition column were generated while every network message was its own
+// simulator event; they prove batched fan-out delivery bit-exact on the
+// loss, crash and partition paths it touches.
 
-enum class Scenario { kLoss, kCrash, kLsmWrites, kTenants };
+enum class Scenario { kLoss, kCrash, kLsmWrites, kTenants, kPartition };
 
 struct ScenarioGoldenRow {
   sched::Policy policy;
@@ -271,10 +276,11 @@ struct ScenarioGoldenRow {
 
 constexpr sched::Policy kScenarioPolicies[] = {
     sched::Policy::kReqSrpt, sched::Policy::kSjf, sched::Policy::kEdf,
-    sched::Policy::kReinSbf,
+    sched::Policy::kReinSbf, sched::Policy::kDas, sched::Policy::kFcfs,
 };
 constexpr Scenario kScenarios[] = {Scenario::kLoss, Scenario::kCrash,
-                                   Scenario::kLsmWrites, Scenario::kTenants};
+                                   Scenario::kLsmWrites, Scenario::kTenants,
+                                   Scenario::kPartition};
 
 ClusterConfig scenario_golden_config(sched::Policy policy, Scenario scenario) {
   ClusterConfig cfg = golden_config(policy, 0.8);
@@ -295,6 +301,11 @@ ClusterConfig scenario_golden_config(sched::Policy policy, Scenario scenario) {
     case Scenario::kTenants:
       cfg.tenants = workload::parse_tenants(kTenantGoldenSpec);
       break;
+    case Scenario::kPartition:
+      cfg.retry_timeout_us = 1.0 * kMillisecond;
+      cfg.fault_plan =
+          fault::parse_fault_plan("partition@10ms:c0-s1,heal@18ms:c0-s1");
+      break;
   }
   return cfg;
 }
@@ -305,6 +316,7 @@ const char* scenario_token(Scenario scenario) {
     case Scenario::kCrash: return "Scenario::kCrash";
     case Scenario::kLsmWrites: return "Scenario::kLsmWrites";
     case Scenario::kTenants: return "Scenario::kTenants";
+    case Scenario::kPartition: return "Scenario::kPartition";
   }
   return "Scenario::kLoss";
 }
@@ -316,18 +328,32 @@ const ScenarioGoldenRow kScenarioGolden[] = {
     {sched::Policy::kReqSrpt, Scenario::kCrash, 409u, 1295.8850084790504, 13406.332705817345, 12418u, 0u},
     {sched::Policy::kReqSrpt, Scenario::kLsmWrites, 367u, 78.547816306133058, 372.91979031493315, 4940u, 0u},
     {sched::Policy::kReqSrpt, Scenario::kTenants, 488u, 177.61332706779959, 1008.6786061088077, 16786u, 0u},
+    {sched::Policy::kReqSrpt, Scenario::kPartition, 409u, 893.70030188178816, 11433.205579732959, 12052u, 0u},
     {sched::Policy::kSjf, Scenario::kLoss, 409u, 522.4730774799217, 5475.0281022619856, 0u, 0u},
     {sched::Policy::kSjf, Scenario::kCrash, 409u, 1769.6519022041939, 12755.665566225349, 0u, 0u},
     {sched::Policy::kSjf, Scenario::kLsmWrites, 367u, 90.926049649999314, 523.04871558290779, 0u, 0u},
     {sched::Policy::kSjf, Scenario::kTenants, 488u, 384.82649639854031, 3942.584569554635, 0u, 0u},
+    {sched::Policy::kSjf, Scenario::kPartition, 409u, 1029.3080178319747, 11207.92626186939, 0u, 0u},
     {sched::Policy::kEdf, Scenario::kLoss, 409u, 349.4148899187166, 1243.0873845693914, 0u, 0u},
     {sched::Policy::kEdf, Scenario::kCrash, 409u, 2674.6677549698197, 11547.537635530298, 0u, 0u},
     {sched::Policy::kEdf, Scenario::kLsmWrites, 367u, 88.982511873011418, 344.38516968746262, 0u, 0u},
     {sched::Policy::kEdf, Scenario::kTenants, 488u, 334.43942029034497, 1125.35079279409, 0u, 0u},
+    {sched::Policy::kEdf, Scenario::kPartition, 409u, 1088.8281259304526, 14662.308641059124, 0u, 0u},
     {sched::Policy::kReinSbf, Scenario::kLoss, 409u, 844.02200463840654, 4531.8992962116063, 0u, 555u},
     {sched::Policy::kReinSbf, Scenario::kCrash, 409u, 2128.3274980842593, 10453.835180271839, 0u, 1087u},
     {sched::Policy::kReinSbf, Scenario::kLsmWrites, 367u, 79.064000623458782, 388.06182921007832, 0u, 0u},
     {sched::Policy::kReinSbf, Scenario::kTenants, 488u, 267.94383055410498, 1194.5825430457378, 0u, 124u},
+    {sched::Policy::kReinSbf, Scenario::kPartition, 409u, 1370.6372832015422, 9750.4808135721705, 0u, 689u},
+    {sched::Policy::kDas, Scenario::kLoss, 409u, 803.35086249302572, 4355.066146834858, 12218u, 516u},
+    {sched::Policy::kDas, Scenario::kCrash, 409u, 1961.2316937261085, 10350.331861655279, 13849u, 1041u},
+    {sched::Policy::kDas, Scenario::kLsmWrites, 367u, 78.881075119172934, 372.91979031493315, 4996u, 0u},
+    {sched::Policy::kDas, Scenario::kTenants, 488u, 239.48941569529231, 1373.1418288148961, 17263u, 154u},
+    {sched::Policy::kDas, Scenario::kPartition, 409u, 1326.00915383755, 13012.054444106496, 12799u, 645u},
+    {sched::Policy::kFcfs, Scenario::kLoss, 409u, 358.18819462878923, 1472.193898129324, 0u, 0u},
+    {sched::Policy::kFcfs, Scenario::kCrash, 409u, 1762.8097985561565, 10146.389434031254, 0u, 0u},
+    {sched::Policy::kFcfs, Scenario::kLsmWrites, 367u, 88.982511873011418, 344.38516968746262, 0u, 0u},
+    {sched::Policy::kFcfs, Scenario::kTenants, 488u, 334.43942029034497, 1125.35079279409, 0u, 0u},
+    {sched::Policy::kFcfs, Scenario::kPartition, 409u, 968.76062570263218, 14662.308641059124, 0u, 0u},
     // clang-format on
 };
 

@@ -194,5 +194,150 @@ TEST(Network, ZeroLatencyDeliversImmediatelyInOrder) {
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
 }
 
+// --- fan-outs ------------------------------------------------------------
+// A fan-out must decide every message exactly as a run of single sends does:
+// the same partition drops (before any draw), the same loss and burst draws,
+// the same arrival times and the same delivery order. Each round below sends
+// one message from node 0 to each of nodes 1..8 — once as a fan-out, once as
+// eight sends — over a cut link 0-3, a down receiver (node 5 drops what
+// reaches it, like a crashed server) and random loss. A tail of single sends
+// after the rounds shows both leave the RNG stream at the same point.
+
+constexpr int kRounds = 64;
+constexpr int kTailSends = 64;
+constexpr NodeId kDownNode = 5;
+
+struct Arrival {
+  SimTime t;
+  NodeId to;
+  int round;
+  std::uint32_t index;
+  bool operator==(const Arrival&) const = default;
+};
+
+struct FanoutRun {
+  std::vector<Arrival> arrivals;
+  int dropped_at_receiver = 0;
+  NetworkStats stats;
+  std::uint64_t events = 0;
+  std::uint64_t lane_events = 0;
+};
+
+FanoutRun run_rounds(const LatencyPtr& latency, bool batched) {
+  sim::Simulator sim;
+  Network::Config cfg;
+  cfg.latency = latency;
+  cfg.loss_probability = 0.2;
+  cfg.num_nodes = 16;
+  Network net{sim, cfg, Rng{7}};
+  net.set_partitioned(0, 3, true);
+  net.set_burst_loss(0.1);
+  FanoutRun run;
+  std::vector<std::vector<Message>> rounds(kRounds);
+  const auto receive = [&](NodeId to, int round, std::uint32_t index) {
+    if (to == kDownNode) {
+      ++run.dropped_at_receiver;
+      return;
+    }
+    run.arrivals.push_back({sim.now(), to, round, index});
+  };
+  for (int r = 0; r < kRounds; ++r) {
+    sim.schedule_at(10.0 * r, [&, r] {
+      std::vector<Message>& msgs = rounds[r];
+      for (NodeId to = 1; to <= 8; ++to) {
+        msgs.push_back({to, static_cast<Bytes>(16 + to * r)});
+      }
+      if (batched) {
+        net.send_fanout(0, msgs, [&, r](std::uint32_t index) {
+          return [&, r, index] {
+            const std::vector<Message>& sent = rounds[r];
+            if (index != kAllDelivered) {
+              receive(sent[index].to, r, index);
+              return;
+            }
+            for (std::uint32_t i = 0; i < sent.size(); ++i) {
+              if (sent[i].delivered) receive(sent[i].to, r, i);
+            }
+          };
+        });
+        return;
+      }
+      for (std::uint32_t i = 0; i < msgs.size(); ++i) {
+        net.send(0, msgs[i].to, msgs[i].size, [&, r, i] {
+          receive(rounds[r][i].to, r, i);
+        });
+      }
+    });
+  }
+  sim.schedule_at(10.0 * kRounds, [&] {
+    for (std::uint32_t i = 0; i < kTailSends; ++i) {
+      net.send(0, 2, 8, [&, i] { receive(2, kRounds, i); });
+    }
+  });
+  sim.run();
+  run.stats = net.stats();
+  run.events = sim.events_dispatched();
+  run.lane_events = sim.lane_dispatched();
+  return run;
+}
+
+TEST(NetworkFanout, DecidesEveryMessageLikeSingleSends) {
+  for (const bool jitter : {false, true}) {
+    SCOPED_TRACE(jitter ? "lognormal latency" : "constant latency");
+    const LatencyPtr latency = jitter ? make_lognormal_latency(5.0, 0.5)
+                                      : make_constant_latency(5.0);
+    const FanoutRun fanout = run_rounds(latency, true);
+    const FanoutRun single = run_rounds(latency, false);
+    EXPECT_EQ(fanout.arrivals, single.arrivals);
+    EXPECT_EQ(fanout.dropped_at_receiver, single.dropped_at_receiver);
+    EXPECT_EQ(fanout.stats.messages_sent, single.stats.messages_sent);
+    EXPECT_EQ(fanout.stats.messages_dropped, single.stats.messages_dropped);
+    EXPECT_EQ(fanout.stats.messages_dropped_partition,
+              single.stats.messages_dropped_partition);
+    EXPECT_EQ(fanout.stats.bytes_sent, single.stats.bytes_sent);
+    // Every mechanism under test fired.
+    EXPECT_GT(single.dropped_at_receiver, 0);
+    EXPECT_GT(single.stats.messages_dropped_partition, 0u);
+    EXPECT_GT(single.stats.messages_dropped,
+              single.stats.messages_dropped_partition);
+    EXPECT_EQ(fanout.stats.fanouts_sent,
+              static_cast<std::uint64_t>(kRounds + kTailSends));
+    EXPECT_EQ(single.stats.fanouts_sent,
+              static_cast<std::uint64_t>(8 * kRounds + kTailSends));
+    const std::uint64_t delivered =
+        single.stats.messages_sent - single.stats.messages_dropped;
+    if (jitter) {
+      // One heap event per delivered message, as with single sends.
+      EXPECT_EQ(fanout.lane_events, 0u);
+      EXPECT_EQ(fanout.events, single.events);
+    } else {
+      // One lane event per fan-out that kept a message.
+      EXPECT_EQ(single.lane_events, delivered);
+      EXPECT_EQ(fanout.lane_events,
+                fanout.stats.fanouts_sent - fanout.stats.fanouts_lost);
+      EXPECT_LT(fanout.lane_events, single.lane_events);
+    }
+  }
+}
+
+TEST(NetworkFanout, AllDroppedSchedulesNothing) {
+  sim::Simulator sim;
+  Network net = make_net(sim, make_constant_latency(1.0));
+  net.set_partitioned(0, 1, true);
+  net.set_partitioned(0, 2, true);
+  std::vector<Message> msgs = {{1, 8}, {2, 8}};
+  int built = 0;
+  const std::uint32_t events = net.send_fanout(0, msgs, [&](std::uint32_t) {
+    ++built;
+    return [] {};
+  });
+  EXPECT_EQ(events, 0u);
+  EXPECT_EQ(built, 0);
+  EXPECT_FALSE(msgs[0].delivered);
+  EXPECT_FALSE(msgs[1].delivered);
+  EXPECT_EQ(net.stats().fanouts_lost, 1u);
+  EXPECT_TRUE(sim.empty());
+}
+
 }  // namespace
 }  // namespace das::net

@@ -18,6 +18,7 @@
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "sched/das.hpp"
+#include "sched/order_heap.hpp"
 #include "sched/scheduler_base.hpp"
 
 namespace das::sched {
@@ -341,6 +342,68 @@ INSTANTIATE_TEST_SUITE_P(
                    })},
         OptionCase{"loose_margin", with([](auto& o) { o.defer_margin = 0.25; })}),
     [](const auto& param_info) { return std::string(param_info.param.name); });
+
+// OrderHeap::update re-keys an entry in place. Against a std::set of
+// (key, serial) — the order the heap promises — random pushes, erases and
+// re-keys (up, down and unchanged) must keep the same minimum, a consistent
+// position index, and finally pop everything in the set's order.
+TEST(OrderHeapUpdate, MatchesOrderedSetUnderRandomRekeys) {
+  using Key = std::pair<double, std::uint64_t>;
+  Rng rng{20261018};
+  OrderHeap heap;
+  std::set<Key> reference;
+  std::vector<std::uint32_t> pos;
+  std::vector<Key> key_of;  // per slot; serial == slot
+  std::vector<std::uint32_t> live;
+  std::uint64_t updates = 0;
+  const auto check_positions = [&] {
+    for (std::size_t i = 0; i < heap.size(); ++i) {
+      ASSERT_EQ(pos[heap.entries()[i].slot], i);
+    }
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const double u = rng.next_double();
+    const double key = static_cast<double>(rng.next_below(50));
+    if (live.empty() || u < 0.35) {
+      const auto slot = static_cast<std::uint32_t>(key_of.size());
+      key_of.push_back({key, slot});
+      pos.push_back(0);
+      heap.push({key, slot, slot}, pos);
+      reference.insert(key_of[slot]);
+      live.push_back(slot);
+    } else {
+      const std::size_t pick = rng.next_below(live.size());
+      const std::uint32_t slot = live[pick];
+      reference.erase(key_of[slot]);
+      if (u < 0.5) {
+        heap.erase(pos[slot], pos);
+        live[pick] = live.back();
+        live.pop_back();
+      } else {
+        heap.update(pos[slot], key, pos);
+        key_of[slot].first = key;
+        reference.insert(key_of[slot]);
+        ++updates;
+      }
+    }
+    ASSERT_EQ(heap.size(), reference.size());
+    ASSERT_TRUE(heap.is_heap());
+    if (!heap.empty()) {
+      ASSERT_EQ(heap.top().key, reference.begin()->first);
+      ASSERT_EQ(heap.top().serial, reference.begin()->second);
+    }
+    if (step % 512 == 0) check_positions();
+  }
+  check_positions();
+  EXPECT_GT(updates, 5000u);
+  while (!heap.empty()) {
+    ASSERT_EQ(heap.top().key, reference.begin()->first);
+    ASSERT_EQ(heap.top().serial, reference.begin()->second);
+    reference.erase(reference.begin());
+    heap.erase(0, pos);
+  }
+  EXPECT_TRUE(reference.empty());
+}
 
 }  // namespace
 }  // namespace das::sched
