@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.hpp"
 #include "core/wire.hpp"
@@ -108,6 +107,12 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     }
   }
 
+  // Placement and stored sizes: every key on its replica set (primary-only
+  // when replication = 1), each copy at its catalogue size.
+  const std::size_t replication =
+      std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
+  replicas_ = store::ReplicaTable(*partitioner_, replication, key_sizes_);
+
   // Servers.
   metrics_.set_window(window_.warmup_us, window_.horizon());
   if (config_.timeline_bucket_us > 0)
@@ -125,7 +130,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     }
     params.speed_alpha = config_.server_speed_alpha;
     params.preemptive = config_.preemptive_service;
-    params.log_structured_storage = config_.log_structured_storage;
     params.overload = config_.overload;
     if (config_.store_model == StoreModel::kLsm) {
       store::LsmOptions lsm_opt = config_.lsm;
@@ -144,7 +148,8 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     auto scheduler = sched::make_scheduler(config_.policy, sched_cfg);
 
     auto server = std::make_unique<Server>(sim_, std::move(params),
-                                           std::move(scheduler), metrics_);
+                                           std::move(scheduler), replicas_,
+                                           metrics_);
     server->set_utilization_window(window_.warmup_us, window_.horizon());
     if (tracer_ != nullptr) server->set_tracer(tracer_);
     servers_.push_back(std::move(server));
@@ -154,10 +159,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   // decides whether audits run continuously during the event loop.
   for (const auto& server : servers_) sim_.add_auditable(server.get());
   sim_.set_audit_cadence(config_.audit_every_events);
-
-  const std::size_t replication =
-      std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
-  populate_servers(universe, replication);
 
   // Response routing: server -> network -> client.
   for (auto& server : servers_) {
@@ -366,44 +367,6 @@ void Cluster::deliver_fanout(std::uint32_t id, std::uint32_t index) {
     receive(index);
   }
   if (--fanout.events == 0) free_fanouts_.push_back(id);
-}
-
-void Cluster::populate_servers(std::uint64_t universe, std::size_t replication) {
-  // Every key lives on its replica set (primary-only when replication=1). A
-  // stable counting sort buckets the keys by server, so each server still
-  // receives its keys in ascending order; each store is then presized once
-  // and filled before the next, instead of growing all of them round-robin.
-  // Placement is computed twice (count, then scatter) rather than stored:
-  // it is cheap, and a key-major placement array would only add to the
-  // memory peak while the stores fill.
-  const std::size_t servers = config_.num_servers;
-  std::vector<ServerId> replicas;
-  const auto place = [&](std::uint64_t key) -> const std::vector<ServerId>& {
-    if (replication == 1) {
-      replicas.assign(1, partitioner_->server_for(key));
-    } else {
-      partitioner_->replicas_into(key, replication, replicas);
-    }
-    return replicas;
-  };
-  std::vector<std::size_t> bucket_begin(servers + 1, 0);
-  for (std::uint64_t key = 0; key < universe; ++key) {
-    for (const ServerId s : place(key)) ++bucket_begin[s + 1];
-  }
-  std::partial_sum(bucket_begin.begin(), bucket_begin.end(), bucket_begin.begin());
-
-  std::vector<KeyId> bucketed(bucket_begin.back());
-  std::vector<std::size_t> cursor(bucket_begin.begin(), bucket_begin.end() - 1);
-  for (std::uint64_t key = 0; key < universe; ++key) {
-    for (const ServerId s : place(key)) bucketed[cursor[s]++] = key;
-  }
-  for (std::size_t s = 0; s < servers; ++s) {
-    Server& server = *servers_[s];
-    server.reserve_storage(bucket_begin[s + 1] - bucket_begin[s]);
-    for (std::size_t i = bucket_begin[s]; i < bucket_begin[s + 1]; ++i) {
-      server.populate(bucketed[i], key_sizes_[bucketed[i]]);
-    }
-  }
 }
 
 double Cluster::derived_request_rate() const {

@@ -15,6 +15,7 @@
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "store/partitioner.hpp"
+#include "store/replica_table.hpp"
 #include "workload/multiget.hpp"
 #include "workload/replay.hpp"
 
@@ -54,6 +55,8 @@ class Cluster {
   std::size_t client_count() const { return clients_.size(); }
   const store::Partitioner& partitioner() const { return *partitioner_; }
   const std::vector<Bytes>& key_sizes() const { return key_sizes_; }
+  /// Which server holds which key, at what size (the servers' data).
+  const store::ReplicaTable& replicas() const { return replicas_; }
   /// Tenant t's generator (nullptr for replay tenants); valid only when the
   /// config declares tenants.
   const workload::MultigetGenerator* tenant_generator(std::size_t t) const {
@@ -73,10 +76,6 @@ class Cluster {
   /// Multi-tenant variant: share-weighted, mix-aware demand model across the
   /// synthetic tenants (replay tenants pace themselves off their trace).
   double derived_tenant_request_rate() const;
-
-  /// Loads every key of the `universe` onto its `replication` replicas, one
-  /// server at a time.
-  void populate_servers(std::uint64_t universe, std::size_t replication);
 
   /// Executes one scripted fault event (run() schedules one call per
   /// FaultPlan entry) and mirrors it into the trace as an instant event.
@@ -118,6 +117,9 @@ class Cluster {
   std::unique_ptr<net::Network> net_;
   store::PartitionerPtr partitioner_;
   std::vector<Bytes> key_sizes_;
+  /// Built once from the partitioner and key_sizes_ before the servers,
+  /// which hold references to it.
+  store::ReplicaTable replicas_;
   std::unique_ptr<workload::MultigetGenerator> generator_;
   /// Multi-tenant mode: one generator per tenant over its keyspace slice
   /// (nullptr entries for replay tenants) plus the loaded traces and the

@@ -33,6 +33,11 @@ void ClusterConfig::validate() const {
   const auto reject = [](const std::string& what) {
     throw std::invalid_argument("ClusterConfig: " + what);
   };
+  if (log_structured_storage) {
+    reject(
+        "log_structured_storage is no longer supported — the log-structured "
+        "engine was removed; servers read the cluster's replica table");
+  }
   if (msg_loss_probability < 0 || msg_loss_probability >= 1) {
     reject("msg_loss_probability must be in [0, 1)");
   }

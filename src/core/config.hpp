@@ -64,9 +64,9 @@ struct ClusterConfig {
   /// effects are not confounded by placement skew); > 0 = consistent-hash
   /// ring with this many vnodes per server.
   std::size_t ring_vnodes = 0;
-  /// Per-server storage backend: false = hash-table engine, true =
-  /// log-structured engine (functionally identical reads; exercises the
-  /// append/compact path under write workloads).
+  /// Retired: the log-structured engine is gone and servers read the
+  /// cluster's replica table. Must stay false (validate() rejects true); the
+  /// field remains only for code that still assigns it.
   bool log_structured_storage = false;
   /// Copies of every key (1 = no replication). Reads go to one replica
   /// chosen by `replica_selection`; clamped to num_servers.

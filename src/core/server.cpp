@@ -30,18 +30,14 @@ trace::StoreTraceKind to_trace(store::StoreTransitionKind kind) {
 }  // namespace
 
 Server::Server(sim::Simulator& sim, Params params, sched::SchedulerPtr scheduler,
-               Metrics& metrics)
+               store::ReplicaTable& replicas, Metrics& metrics)
     : sim_(sim),
       params_(std::move(params)),
       scheduler_(std::move(scheduler)),
       metrics_(metrics),
-      guard_(params_.overload) {
+      guard_(params_.overload),
+      replicas_(replicas) {
   service_model_ = std::move(params_.service_model);
-  if (params_.log_structured_storage) {
-    storage_ = std::make_unique<store::LogStructuredEngine>();
-  } else {
-    storage_ = std::make_unique<store::StorageEngine>();
-  }
   DAS_CHECK(scheduler_ != nullptr);
   DAS_CHECK(params_.speed_factor > 0);
   DAS_CHECK(params_.speed_alpha > 0 && params_.speed_alpha <= 1);
@@ -55,8 +51,6 @@ void Server::set_response_handler(std::function<void(const OpResponse&)> handler
   DAS_CHECK(handler != nullptr);
   respond_ = std::move(handler);
 }
-
-void Server::populate(KeyId key, Bytes size) { storage_->put(key, size, 0); }
 
 void Server::set_utilization_window(SimTime begin, SimTime end) {
   DAS_CHECK(begin <= end);
@@ -99,8 +93,8 @@ store::OpCostQuery Server::cost_query(const sched::OpContext& op) const {
   if (op.is_write) {
     q.size_bytes = op.write_size;
   } else {
-    const store::ValueRecord* rec = storage_->peek(op.key);
-    q.size_bytes = rec != nullptr ? rec->size : 0;
+    const store::ReplicaTable::Entry* copy = replicas_.find(op.key, params_.id);
+    q.size_bytes = copy != nullptr ? copy->size : 0;
   }
   return q;
 }
@@ -132,6 +126,9 @@ void Server::check_invariants() const {
             "op conservation: received != queued + in-service + completed + "
             "dropped + shed");
   guard_.check_invariants();
+  DAS_AUDIT(reads_ + writes_applied_ == ops_completed_,
+            "a completed op was neither a read nor an applied write");
+  DAS_AUDIT(read_hits_ <= reads_, "more read hits than reads");
   DAS_AUDIT(wasted_service_us_ >= 0, "negative wasted service");
   DAS_AUDIT(mu_hat_ > 0, "nonpositive speed estimate");
   DAS_AUDIT(fault_slowdown_ > 0, "nonpositive fault slowdown");
@@ -375,12 +372,17 @@ void Server::complete_current() {
   note_busy_interval(current_started_, now);
   completion_event_ = sim::EventHandle{};
 
-  std::optional<store::ValueRecord> record;
+  store::ReplicaTable::Entry* const copy =
+      replicas_.find(current_op_.key, params_.id);
   if (current_op_.is_write) {
-    storage_->put(current_op_.key, current_op_.write_size, now);
-    record = *storage_->peek(current_op_.key);
+    // Clients send a write only to the key's replicas (write-all, and
+    // retries go back to the same server).
+    DAS_CHECK_MSG(copy != nullptr, "write reached a server that is no replica");
+    copy->size = current_op_.write_size;
+    ++writes_applied_;
   } else {
-    record = storage_->get(current_op_.key, now);
+    ++reads_;
+    if (copy != nullptr) ++read_hits_;
   }
   if (service_model_ != nullptr) {
     // A completed write lands in the model's memtable and may trigger a
@@ -407,9 +409,9 @@ void Server::complete_current() {
   resp.client = current_op_.client;
   resp.server = params_.id;
   resp.key = current_op_.key;
-  resp.hit = record.has_value();
+  resp.hit = copy != nullptr;
   resp.is_write = current_op_.is_write;
-  resp.value_size = record ? record->size : 0;
+  resp.value_size = copy != nullptr ? copy->size : 0;
   resp.completed_at = now;
   resp.d_hat_us = d_hat_us();
   resp.mu_hat = mu_hat_;

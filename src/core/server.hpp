@@ -1,5 +1,8 @@
-// Simulated store server: storage engine + operation scheduler + service
-// loop with time-varying speed and an adaptive service-rate estimator.
+// Simulated store server: operation scheduler + service loop with
+// time-varying speed and an adaptive service-rate estimator. Its data is its
+// column of the cluster's key-major replica table: a read hits when the
+// server holds a copy of the key and returns that copy's size; a completed
+// write updates the server's own copy in place.
 #pragma once
 
 #include <functional>
@@ -11,9 +14,8 @@
 #include "overload/overload.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
-#include "store/log_engine.hpp"
 #include "store/lsm_model.hpp"
-#include "store/storage_engine.hpp"
+#include "store/replica_table.hpp"
 #include "trace/rct_breakdown.hpp"
 #include "trace/tracer.hpp"
 #include "workload/rate_function.hpp"
@@ -77,8 +79,6 @@ class Server : public Auditable {
     /// remaining demand is requeued. An oracle-style upper bound; real
     /// stores (and the paper) serve operations to completion.
     bool preemptive = false;
-    /// Storage backend: hash-table engine (default) or log-structured.
-    bool log_structured_storage = false;
     /// Storage-aware service-time model. nullptr = synthetic mode: every op
     /// costs its client-tagged demand and storage never dents capacity.
     /// Owning a provider makes Params move-only.
@@ -89,19 +89,16 @@ class Server : public Auditable {
     overload::OverloadConfig overload;
   };
 
+  /// `replicas` is the cluster's placement and size record; it must outlive
+  /// the server. The server reads and writes only its own copies.
   Server(sim::Simulator& sim, Params params, sched::SchedulerPtr scheduler,
-         Metrics& metrics);
+         store::ReplicaTable& replicas, Metrics& metrics);
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   /// Response delivery hook; the cluster routes it through the network.
   void set_response_handler(std::function<void(const OpResponse&)> handler);
-
-  /// Preloads a key (cluster initialisation, before time starts).
-  void populate(KeyId key, Bytes size);
-  /// Presizes the store for `keys` keys ahead of populating them.
-  void reserve_storage(std::size_t keys) { storage_->reserve(keys); }
 
   /// An operation message arrived from the network.
   void receive_op(const sched::OpContext& op);
@@ -133,7 +130,6 @@ class Server : public Auditable {
   std::size_t queue_length() const { return scheduler_->size(); }
 
   const sched::Scheduler& scheduler() const { return *scheduler_; }
-  const store::KvStore& storage() const { return *storage_; }
   /// The storage service-time model, or nullptr in synthetic mode.
   const store::ServiceTimeProvider* service_model() const {
     return service_model_.get();
@@ -158,6 +154,11 @@ class Server : public Auditable {
   double busy_time_in_window() const { return busy_in_window_; }
 
   std::uint64_t ops_completed() const { return ops_completed_; }
+  /// Completed reads, the reads among them that found a copy of their key
+  /// here, and completed writes (each applied to this server's copy).
+  std::uint64_t reads() const { return reads_; }
+  std::uint64_t read_hits() const { return read_hits_; }
+  std::uint64_t writes_applied() const { return writes_applied_; }
   std::uint64_t ops_received() const { return ops_received_; }
   std::uint64_t preemptions() const { return preemptions_; }
   std::uint64_t ops_dropped() const { return ops_dropped_; }
@@ -187,7 +188,8 @@ class Server : public Auditable {
   /// store model's lazy clock.
   double effective_speed(SimTime now);
   /// Builds the store-model cost query for `op`; a read's size comes from
-  /// the server's own storage engine, not the client's estimate.
+  /// the server's own copy in the replica table (0 on a miss), not the
+  /// client's estimate.
   store::OpCostQuery cost_query(const sched::OpContext& op) const;
   /// Remaining scheduler-visible demand of the in-service op given its
   /// unserved base cost. Preserves the exact legacy subtraction in synthetic
@@ -211,7 +213,7 @@ class Server : public Auditable {
   Metrics& metrics_;
   /// Overload protection: accept/shed decisions and the shed counters.
   overload::QueueGuard guard_;
-  std::unique_ptr<store::KvStore> storage_;
+  store::ReplicaTable& replicas_;
   /// Moved out of Params at construction; nullptr in synthetic mode.
   store::ServiceTimeProviderPtr service_model_;
   std::function<void(const OpResponse&)> respond_;
@@ -238,6 +240,9 @@ class Server : public Auditable {
   /// Completions left before a recovering server counts as kUp again.
   std::uint32_t recovery_ops_left_ = 0;
   std::uint64_t ops_completed_ = 0;
+  std::uint64_t reads_ = 0;
+  std::uint64_t read_hits_ = 0;
+  std::uint64_t writes_applied_ = 0;
   std::uint64_t ops_received_ = 0;
   std::uint64_t preemptions_ = 0;
   std::uint64_t ops_dropped_ = 0;

@@ -29,8 +29,8 @@
 #include "net/network.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
-#include "store/log_engine.hpp"
 #include "store/partitioner.hpp"
+#include "store/replica_table.hpp"
 #include "store/storage_engine.hpp"
 #include "workload/arrival.hpp"
 #include "workload/multiget.hpp"

@@ -1,6 +1,6 @@
 // Open-addressing Robin-Hood hash table, u64 keys.
 //
-// The storage engine's core index. Robin-Hood linear probing with
+// StorageEngine's index. Robin-Hood linear probing with
 // backward-shift deletion keeps probe sequences short under high load
 // factors and needs no tombstones. Header-only template so the engine can
 // index arbitrary value records without indirection.

@@ -1,10 +1,10 @@
-// Per-server in-memory key-value storage engine.
+// In-memory key-value storage engine over the Robin-Hood table.
 //
-// Stores value records (size, version, timestamps) indexed by the Robin-Hood
-// table. The simulator models service *time* separately in the server; the
-// engine provides the functional behaviour (lookups actually hit or miss, a
-// get's byte count comes from the stored record, versions advance on put) so
-// workloads read real data rather than synthetic constants.
+// Stores value records (size, version, timestamps). No simulated server runs
+// it: servers read hits and sizes from the cluster's ReplicaTable
+// (replica_table.hpp). The engine remains as the per-server reference the
+// table's tests replay against, and as the subject of the benchmark's store
+// microbenchmark.
 #pragma once
 
 #include <cstdint>
@@ -35,47 +35,25 @@ struct StorageStats {
   Bytes resident_bytes = 0;
 };
 
-/// Storage-engine interface the servers program against. Two
-/// implementations: the hash-table engine below (default) and the
-/// log-structured engine in log_engine.hpp.
-class KvStore {
+/// Hash-table engine: Robin-Hood open addressing, O(1) everything, values
+/// updated in place.
+class StorageEngine {
  public:
-  virtual ~KvStore() = default;
-
   /// Inserts or overwrites `key`. The version is bumped on every put.
   /// Returns the new version.
-  virtual std::uint64_t put(KeyId key, Bytes size, SimTime now) = 0;
+  std::uint64_t put(KeyId key, Bytes size, SimTime now);
 
   /// Looks up `key`; counts a hit or miss.
-  virtual std::optional<ValueRecord> get(KeyId key, SimTime now) = 0;
+  std::optional<ValueRecord> get(KeyId key, SimTime now);
 
   /// Read-only peek that does not perturb stats (for tests/metrics).
-  virtual const ValueRecord* peek(KeyId key) const = 0;
+  const ValueRecord* peek(KeyId key) const { return table_.find(key); }
 
   /// Removes `key`; returns true if it was present.
-  virtual bool erase(KeyId key) = 0;
+  bool erase(KeyId key);
 
-  virtual std::size_t key_count() const = 0;
-  virtual const StorageStats& stats() const = 0;
-
-  /// Capacity hint: make room for `keys` keys in total so bulk loading them
-  /// does not rehash. Never changes contents or stats.
-  virtual void reserve(std::size_t keys) = 0;
-};
-
-/// Hash-table engine: Robin-Hood open addressing, O(1) everything, values
-/// updated in place. The default backend.
-class StorageEngine final : public KvStore {
- public:
-  StorageEngine() = default;
-
-  std::uint64_t put(KeyId key, Bytes size, SimTime now) override;
-  std::optional<ValueRecord> get(KeyId key, SimTime now) override;
-  const ValueRecord* peek(KeyId key) const override { return table_.find(key); }
-  bool erase(KeyId key) override;
-  std::size_t key_count() const override { return table_.size(); }
-  const StorageStats& stats() const override { return stats_; }
-  void reserve(std::size_t keys) override { table_.reserve(keys); }
+  std::size_t key_count() const { return table_.size(); }
+  const StorageStats& stats() const { return stats_; }
 
  private:
   RobinHoodMap<ValueRecord> table_;

@@ -35,13 +35,12 @@ RunWindow small_window() {
   return w;
 }
 
-// Construction loads every key onto exactly its replica set, once, at its
-// catalogue size — whatever the placement, replication factor or engine.
+// Construction places every key on exactly its replica set, once, at its
+// catalogue size — whatever the placement or replication factor.
 struct PopulationCase {
   const char* name;
   std::size_t ring_vnodes;  // 0 = modulo placement
   std::size_t replication;
-  bool log_structured;
 };
 
 void PrintTo(const PopulationCase& c, std::ostream* os) { *os << c.name; }
@@ -53,44 +52,42 @@ TEST_P(ClusterPopulation, EachServerHoldsExactlyItsReplicatedKeys) {
   auto cfg = small_config();
   cfg.ring_vnodes = c.ring_vnodes;
   cfg.replication = c.replication;
-  cfg.log_structured_storage = c.log_structured;
   Cluster cluster{cfg, small_window()};
   const std::vector<Bytes>& sizes = cluster.key_sizes();
+  const store::ReplicaTable& table = cluster.replicas();
+  ASSERT_EQ(table.key_count(), sizes.size());
   std::vector<std::size_t> expected(cluster.server_count(), 0);
+  std::vector<std::size_t> held(cluster.server_count(), 0);
   for (KeyId key = 0; key < sizes.size(); ++key) {
     const std::vector<ServerId> replicas =
         cluster.partitioner().replicas_for(key, c.replication);
     ASSERT_EQ(replicas.size(), c.replication);
     for (std::size_t s = 0; s < cluster.server_count(); ++s) {
-      const store::KvStore& store = cluster.server(s).storage();
-      const store::ValueRecord* rec = store.peek(key);
+      const store::ReplicaTable::Entry* copy =
+          table.find(key, static_cast<ServerId>(s));
       const bool holds = std::find(replicas.begin(), replicas.end(),
                                    static_cast<ServerId>(s)) != replicas.end();
-      ASSERT_EQ(rec != nullptr, holds) << "key " << key << " server " << s;
+      ASSERT_EQ(copy != nullptr, holds) << "key " << key << " server " << s;
       if (holds) {
         ++expected[s];
-        EXPECT_EQ(rec->size, sizes[key]);
-        EXPECT_EQ(rec->version, 1u);
+        EXPECT_EQ(copy->size, sizes[key]);
       }
     }
+    for (const store::ReplicaTable::Entry& copy : table.copies(key)) {
+      ++held[copy.server];
+    }
   }
-  for (std::size_t s = 0; s < cluster.server_count(); ++s) {
-    const store::KvStore& store = cluster.server(s).storage();
-    EXPECT_EQ(store.key_count(), expected[s]);
-    EXPECT_EQ(store.stats().inserts, store.key_count());
-    EXPECT_EQ(store.stats().updates, 0u);
-  }
+  EXPECT_EQ(held, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PlacementByReplication, ClusterPopulation,
-    ::testing::Values(PopulationCase{"modulo_r1", 0, 1, false},
-                      PopulationCase{"modulo_r2", 0, 2, false},
-                      PopulationCase{"modulo_r3", 0, 3, false},
-                      PopulationCase{"ring_r1", 16, 1, false},
-                      PopulationCase{"ring_r2", 16, 2, false},
-                      PopulationCase{"ring_r3", 16, 3, false},
-                      PopulationCase{"ring_r2_log", 16, 2, true}),
+    ::testing::Values(PopulationCase{"modulo_r1", 0, 1},
+                      PopulationCase{"modulo_r2", 0, 2},
+                      PopulationCase{"modulo_r3", 0, 3},
+                      PopulationCase{"ring_r1", 16, 1},
+                      PopulationCase{"ring_r2", 16, 2},
+                      PopulationCase{"ring_r3", 16, 3}),
     [](const auto& param_info) { return std::string{param_info.param.name}; });
 
 TEST(Cluster, ConservesRequestsAndOps) {

@@ -127,6 +127,14 @@ TEST(ConfigValidate, RejectionsNameTheOffendingField) {
             std::string::npos);
 }
 
+TEST(ConfigValidate, RejectsLogStructuredStorage) {
+  // The log-structured engine was removed; the field may only stay false.
+  ClusterConfig cfg;
+  cfg.log_structured_storage = true;
+  EXPECT_NE(validation_error(cfg).find("log_structured_storage"),
+            std::string::npos);
+}
+
 TEST(ConfigValidate, FaultPlanSafetyCoupling) {
   // A work-losing plan needs retransmission to keep accounting closed.
   ClusterConfig cfg;

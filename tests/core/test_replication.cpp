@@ -35,7 +35,7 @@ TEST(Replication, EveryReplicaHoldsTheKey) {
   const auto& part = cluster.partitioner();
   for (KeyId key = 0; key < 200; ++key) {
     for (const ServerId s : part.replicas_for(key, 3)) {
-      EXPECT_NE(cluster.server(s).storage().peek(key), nullptr)
+      EXPECT_NE(cluster.replicas().find(key, s), nullptr)
           << "key " << key << " missing on replica " << s;
     }
   }
@@ -59,13 +59,13 @@ TEST_P(SelectionConservation, AllRequestsCompleteAndHit) {
   EXPECT_EQ(r.requests_generated, r.requests_completed);
   EXPECT_EQ(r.ops_generated, r.ops_completed);
   // Every read must land on a server that holds the key.
-  std::uint64_t gets = 0, hits = 0;
+  std::uint64_t reads = 0, hits = 0;
   for (std::size_t s = 0; s < cluster.server_count(); ++s) {
-    gets += cluster.server(s).storage().stats().gets;
-    hits += cluster.server(s).storage().stats().hits;
+    reads += cluster.server(s).reads();
+    hits += cluster.server(s).read_hits();
   }
-  EXPECT_EQ(gets, r.ops_completed);
-  EXPECT_EQ(hits, gets);
+  EXPECT_EQ(reads, r.ops_completed);
+  EXPECT_EQ(hits, reads);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSelections, SelectionConservation,

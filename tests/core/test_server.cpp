@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sched/scheduler.hpp"
@@ -13,14 +14,26 @@ struct ServerFixture : ::testing::Test {
   sim::Simulator sim;
   Metrics metrics;
   std::vector<OpResponse> responses;
+  // 64 keys of 100 bytes, two copies each over three servers. The fixture's
+  // server is server 0: it holds the keys whose primary is server 0 or 2.
+  store::PartitionerPtr placement = store::make_modulo_partitioner(3);
+  store::ReplicaTable replicas{*placement, 2, std::vector<Bytes>(64, 100)};
 
   std::unique_ptr<Server> make_server(Server::Params params,
                                       sched::Policy policy = sched::Policy::kFcfs) {
     auto server = std::make_unique<Server>(sim, std::move(params),
-                                           sched::make_scheduler(policy), metrics);
+                                           sched::make_scheduler(policy),
+                                           replicas, metrics);
     server->set_response_handler(
         [this](const OpResponse& r) { responses.push_back(r); });
     return server;
+  }
+
+  /// The first key whose primary is server `s`.
+  KeyId key_on(ServerId s) const {
+    KeyId key = 0;
+    while (placement->server_for(key) != s) ++key;
+    return key;
   }
 
   static sched::OpContext op(OperationId id, KeyId key, double demand) {
@@ -35,8 +48,7 @@ struct ServerFixture : ::testing::Test {
 
 TEST_F(ServerFixture, ServesOpAfterServiceTime) {
   auto server = make_server({});
-  server->populate(5, 100);
-  server->receive_op(op(1, 5, 40.0));
+  server->receive_op(op(1, key_on(0), 40.0));
   sim.run();
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_DOUBLE_EQ(responses[0].completed_at, 40.0);
@@ -46,11 +58,41 @@ TEST_F(ServerFixture, ServesOpAfterServiceTime) {
 
 TEST_F(ServerFixture, MissOnUnknownKey) {
   auto server = make_server({});
-  server->receive_op(op(1, 42, 10.0));
+  server->receive_op(op(1, key_on(1), 10.0));
   sim.run();
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_FALSE(responses[0].hit);
   EXPECT_EQ(responses[0].value_size, 0u);
+}
+
+TEST_F(ServerFixture, WriteUpdatesOnlyItsOwnCopy) {
+  auto server = make_server({});
+  const KeyId key = key_on(2);  // copies on servers 2 and 0
+  sched::OpContext write = op(1, key, 10.0);
+  write.is_write = true;
+  write.write_size = 700;
+  server->receive_op(write);
+  server->receive_op(op(2, key, 10.0));
+  sim.run();
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_TRUE(responses[0].hit);
+  EXPECT_EQ(responses[0].value_size, 700u);
+  EXPECT_TRUE(responses[1].hit);
+  EXPECT_EQ(responses[1].value_size, 700u);  // the read sees the write
+  EXPECT_EQ(replicas.find(key, 0)->size, 700u);
+  EXPECT_EQ(replicas.find(key, 2)->size, 100u);  // the other copy waits
+  EXPECT_EQ(server->writes_applied(), 1u);
+  EXPECT_EQ(server->reads(), 1u);
+  EXPECT_EQ(server->read_hits(), 1u);
+}
+
+TEST_F(ServerFixture, WriteToANonReplicaIsRejected) {
+  auto server = make_server({});
+  sched::OpContext write = op(1, key_on(1), 10.0);
+  write.is_write = true;
+  write.write_size = 700;
+  server->receive_op(write);
+  EXPECT_THROW(sim.run(), std::logic_error);
 }
 
 TEST_F(ServerFixture, HalfSpeedDoublesServiceTime) {

@@ -260,9 +260,21 @@ TEST(GoldenResults, PinnedTenantRowIsBitExact) {
 // FIFOs and the frozen-key heap bit-exact. The das and fcfs rows and the
 // partition column were generated while every network message was its own
 // simulator event; they prove batched fan-out delivery bit-exact on the
-// loss, crash and partition paths it touches.
+// loss, crash and partition paths it touches. The ring-replicated scenario
+// (16 vnodes, R = 3, least-delay selection, 0.3 ms hedge, LSM store, 30%
+// writes) and the net_bytes column were generated while every server still
+// kept its own hash-table store: responses carry the stored value size, so
+// net_bytes pins every read's hit and size, and the scenario pins replica
+// reads and in-place writes on ring placement.
 
-enum class Scenario { kLoss, kCrash, kLsmWrites, kTenants, kPartition };
+enum class Scenario {
+  kLoss,
+  kCrash,
+  kLsmWrites,
+  kTenants,
+  kPartition,
+  kRingReplicated,
+};
 
 struct ScenarioGoldenRow {
   sched::Policy policy;
@@ -272,15 +284,17 @@ struct ScenarioGoldenRow {
   double p99_us;
   std::uint64_t reranks_applied;
   std::uint64_t ops_aged;
+  std::uint64_t net_bytes;
 };
 
 constexpr sched::Policy kScenarioPolicies[] = {
     sched::Policy::kReqSrpt, sched::Policy::kSjf, sched::Policy::kEdf,
     sched::Policy::kReinSbf, sched::Policy::kDas, sched::Policy::kFcfs,
 };
-constexpr Scenario kScenarios[] = {Scenario::kLoss, Scenario::kCrash,
-                                   Scenario::kLsmWrites, Scenario::kTenants,
-                                   Scenario::kPartition};
+constexpr Scenario kScenarios[] = {
+    Scenario::kLoss,      Scenario::kCrash,     Scenario::kLsmWrites,
+    Scenario::kTenants,   Scenario::kPartition, Scenario::kRingReplicated,
+};
 
 ClusterConfig scenario_golden_config(sched::Policy policy, Scenario scenario) {
   ClusterConfig cfg = golden_config(policy, 0.8);
@@ -306,6 +320,14 @@ ClusterConfig scenario_golden_config(sched::Policy policy, Scenario scenario) {
       cfg.fault_plan =
           fault::parse_fault_plan("partition@10ms:c0-s1,heal@18ms:c0-s1");
       break;
+    case Scenario::kRingReplicated:
+      cfg.ring_vnodes = 16;
+      cfg.replication = 3;
+      cfg.replica_selection = ReplicaSelection::kLeastDelay;
+      cfg.hedge_delay_us = 0.3 * kMillisecond;
+      cfg.store_model = StoreModel::kLsm;
+      cfg.write_fraction = 0.3;
+      break;
   }
   return cfg;
 }
@@ -317,6 +339,7 @@ const char* scenario_token(Scenario scenario) {
     case Scenario::kLsmWrites: return "Scenario::kLsmWrites";
     case Scenario::kTenants: return "Scenario::kTenants";
     case Scenario::kPartition: return "Scenario::kPartition";
+    case Scenario::kRingReplicated: return "Scenario::kRingReplicated";
   }
   return "Scenario::kLoss";
 }
@@ -324,36 +347,42 @@ const char* scenario_token(Scenario scenario) {
 // Pinned by the build described above (regen as above).
 const ScenarioGoldenRow kScenarioGolden[] = {
     // clang-format off
-    {sched::Policy::kReqSrpt, Scenario::kLoss, 409u, 335.03264467754019, 3569.1703785916625, 11990u, 0u},
-    {sched::Policy::kReqSrpt, Scenario::kCrash, 409u, 1295.8850084790504, 13406.332705817345, 12418u, 0u},
-    {sched::Policy::kReqSrpt, Scenario::kLsmWrites, 367u, 78.547816306133058, 372.91979031493315, 4940u, 0u},
-    {sched::Policy::kReqSrpt, Scenario::kTenants, 488u, 177.61332706779959, 1008.6786061088077, 16786u, 0u},
-    {sched::Policy::kReqSrpt, Scenario::kPartition, 409u, 893.70030188178816, 11433.205579732959, 12052u, 0u},
-    {sched::Policy::kSjf, Scenario::kLoss, 409u, 522.4730774799217, 5475.0281022619856, 0u, 0u},
-    {sched::Policy::kSjf, Scenario::kCrash, 409u, 1769.6519022041939, 12755.665566225349, 0u, 0u},
-    {sched::Policy::kSjf, Scenario::kLsmWrites, 367u, 90.926049649999314, 523.04871558290779, 0u, 0u},
-    {sched::Policy::kSjf, Scenario::kTenants, 488u, 384.82649639854031, 3942.584569554635, 0u, 0u},
-    {sched::Policy::kSjf, Scenario::kPartition, 409u, 1029.3080178319747, 11207.92626186939, 0u, 0u},
-    {sched::Policy::kEdf, Scenario::kLoss, 409u, 349.4148899187166, 1243.0873845693914, 0u, 0u},
-    {sched::Policy::kEdf, Scenario::kCrash, 409u, 2674.6677549698197, 11547.537635530298, 0u, 0u},
-    {sched::Policy::kEdf, Scenario::kLsmWrites, 367u, 88.982511873011418, 344.38516968746262, 0u, 0u},
-    {sched::Policy::kEdf, Scenario::kTenants, 488u, 334.43942029034497, 1125.35079279409, 0u, 0u},
-    {sched::Policy::kEdf, Scenario::kPartition, 409u, 1088.8281259304526, 14662.308641059124, 0u, 0u},
-    {sched::Policy::kReinSbf, Scenario::kLoss, 409u, 844.02200463840654, 4531.8992962116063, 0u, 555u},
-    {sched::Policy::kReinSbf, Scenario::kCrash, 409u, 2128.3274980842593, 10453.835180271839, 0u, 1087u},
-    {sched::Policy::kReinSbf, Scenario::kLsmWrites, 367u, 79.064000623458782, 388.06182921007832, 0u, 0u},
-    {sched::Policy::kReinSbf, Scenario::kTenants, 488u, 267.94383055410498, 1194.5825430457378, 0u, 124u},
-    {sched::Policy::kReinSbf, Scenario::kPartition, 409u, 1370.6372832015422, 9750.4808135721705, 0u, 689u},
-    {sched::Policy::kDas, Scenario::kLoss, 409u, 803.35086249302572, 4355.066146834858, 12218u, 516u},
-    {sched::Policy::kDas, Scenario::kCrash, 409u, 1961.2316937261085, 10350.331861655279, 13849u, 1041u},
-    {sched::Policy::kDas, Scenario::kLsmWrites, 367u, 78.881075119172934, 372.91979031493315, 4996u, 0u},
-    {sched::Policy::kDas, Scenario::kTenants, 488u, 239.48941569529231, 1373.1418288148961, 17263u, 154u},
-    {sched::Policy::kDas, Scenario::kPartition, 409u, 1326.00915383755, 13012.054444106496, 12799u, 645u},
-    {sched::Policy::kFcfs, Scenario::kLoss, 409u, 358.18819462878923, 1472.193898129324, 0u, 0u},
-    {sched::Policy::kFcfs, Scenario::kCrash, 409u, 1762.8097985561565, 10146.389434031254, 0u, 0u},
-    {sched::Policy::kFcfs, Scenario::kLsmWrites, 367u, 88.982511873011418, 344.38516968746262, 0u, 0u},
-    {sched::Policy::kFcfs, Scenario::kTenants, 488u, 334.43942029034497, 1125.35079279409, 0u, 0u},
-    {sched::Policy::kFcfs, Scenario::kPartition, 409u, 968.76062570263218, 14662.308641059124, 0u, 0u},
+    {sched::Policy::kReqSrpt, Scenario::kLoss, 409u, 335.03264467754019, 3569.1703785916625, 11990u, 0u, 2267475u},
+    {sched::Policy::kReqSrpt, Scenario::kCrash, 409u, 1295.8850084790504, 13406.332705817345, 12418u, 0u, 2271782u},
+    {sched::Policy::kReqSrpt, Scenario::kLsmWrites, 367u, 78.547816306133058, 372.91979031493315, 4940u, 0u, 1287907u},
+    {sched::Policy::kReqSrpt, Scenario::kTenants, 488u, 177.61332706779959, 1008.6786061088077, 16786u, 0u, 2569751u},
+    {sched::Policy::kReqSrpt, Scenario::kPartition, 409u, 893.70030188178816, 11433.205579732959, 12052u, 0u, 2261054u},
+    {sched::Policy::kReqSrpt, Scenario::kRingReplicated, 415u, 109.35961403799753, 512.74258953328888, 7952u, 0u, 1532665u},
+    {sched::Policy::kSjf, Scenario::kLoss, 409u, 522.4730774799217, 5475.0281022619856, 0u, 0u, 1949529u},
+    {sched::Policy::kSjf, Scenario::kCrash, 409u, 1769.6519022041939, 12755.665566225349, 0u, 0u, 2069542u},
+    {sched::Policy::kSjf, Scenario::kLsmWrites, 367u, 90.926049649999314, 523.04871558290779, 0u, 0u, 1084481u},
+    {sched::Policy::kSjf, Scenario::kTenants, 488u, 384.82649639854031, 3942.584569554635, 0u, 0u, 2142351u},
+    {sched::Policy::kSjf, Scenario::kPartition, 409u, 1029.3080178319747, 11207.92626186939, 0u, 0u, 1998841u},
+    {sched::Policy::kSjf, Scenario::kRingReplicated, 415u, 130.85183487414383, 631.89983481370427, 0u, 0u, 1409261u},
+    {sched::Policy::kEdf, Scenario::kLoss, 409u, 349.4148899187166, 1243.0873845693914, 0u, 0u, 1854563u},
+    {sched::Policy::kEdf, Scenario::kCrash, 409u, 2674.6677549698197, 11547.537635530298, 0u, 0u, 2069904u},
+    {sched::Policy::kEdf, Scenario::kLsmWrites, 367u, 88.982511873011418, 344.38516968746262, 0u, 0u, 1084481u},
+    {sched::Policy::kEdf, Scenario::kTenants, 488u, 334.43942029034497, 1125.35079279409, 0u, 0u, 2144871u},
+    {sched::Policy::kEdf, Scenario::kPartition, 409u, 1088.8281259304526, 14662.308641059124, 0u, 0u, 1921006u},
+    {sched::Policy::kEdf, Scenario::kRingReplicated, 415u, 129.57680849938743, 478.24427067498783, 0u, 0u, 1337405u},
+    {sched::Policy::kReinSbf, Scenario::kLoss, 409u, 844.02200463840654, 4531.8992962116063, 0u, 555u, 2012898u},
+    {sched::Policy::kReinSbf, Scenario::kCrash, 409u, 2128.3274980842593, 10453.835180271839, 0u, 1087u, 2156484u},
+    {sched::Policy::kReinSbf, Scenario::kLsmWrites, 367u, 79.064000623458782, 388.06182921007832, 0u, 0u, 1084481u},
+    {sched::Policy::kReinSbf, Scenario::kTenants, 488u, 267.94383055410498, 1194.5825430457378, 0u, 124u, 2144241u},
+    {sched::Policy::kReinSbf, Scenario::kPartition, 409u, 1370.6372832015422, 9750.4808135721705, 0u, 689u, 2066266u},
+    {sched::Policy::kReinSbf, Scenario::kRingReplicated, 415u, 108.48014273683009, 424.41750749801668, 0u, 0u, 1367371u},
+    {sched::Policy::kDas, Scenario::kLoss, 409u, 803.35086249302572, 4355.066146834858, 12218u, 516u, 2364192u},
+    {sched::Policy::kDas, Scenario::kCrash, 409u, 1961.2316937261085, 10350.331861655279, 13849u, 1041u, 2491106u},
+    {sched::Policy::kDas, Scenario::kLsmWrites, 367u, 78.881075119172934, 372.91979031493315, 4996u, 0u, 1287870u},
+    {sched::Policy::kDas, Scenario::kTenants, 488u, 239.48941569529231, 1373.1418288148961, 17263u, 154u, 2572290u},
+    {sched::Policy::kDas, Scenario::kPartition, 409u, 1326.00915383755, 13012.054444106496, 12799u, 645u, 2401918u},
+    {sched::Policy::kDas, Scenario::kRingReplicated, 415u, 108.07422216210675, 468.82096919418495, 7647u, 0u, 1545047u},
+    {sched::Policy::kFcfs, Scenario::kLoss, 409u, 358.18819462878923, 1472.193898129324, 0u, 0u, 1853240u},
+    {sched::Policy::kFcfs, Scenario::kCrash, 409u, 1762.8097985561565, 10146.389434031254, 0u, 0u, 1971314u},
+    {sched::Policy::kFcfs, Scenario::kLsmWrites, 367u, 88.982511873011418, 344.38516968746262, 0u, 0u, 1084481u},
+    {sched::Policy::kFcfs, Scenario::kTenants, 488u, 334.43942029034497, 1125.35079279409, 0u, 0u, 2144871u},
+    {sched::Policy::kFcfs, Scenario::kPartition, 409u, 968.76062570263218, 14662.308641059124, 0u, 0u, 1856917u},
+    {sched::Policy::kFcfs, Scenario::kRingReplicated, 415u, 128.83989739042062, 441.65056021664088, 0u, 0u, 1335695u},
     // clang-format on
 };
 
@@ -363,12 +392,13 @@ TEST(GoldenResults, PinnedScenarioRowsAreBitExact) {
       for (const Scenario scenario : kScenarios) {
         const ExperimentResult r = run_experiment(
             scenario_golden_config(policy, scenario), golden_window());
-        std::printf("    {%s, %s, %lluu, %.17g, %.17g, %lluu, %lluu},\n",
+        std::printf("    {%s, %s, %lluu, %.17g, %.17g, %lluu, %lluu, %lluu},\n",
                     policy_token(policy), scenario_token(scenario),
                     static_cast<unsigned long long>(r.requests_measured),
                     r.rct.mean, r.rct.p99,
                     static_cast<unsigned long long>(r.reranks_applied),
-                    static_cast<unsigned long long>(r.ops_aged));
+                    static_cast<unsigned long long>(r.ops_aged),
+                    static_cast<unsigned long long>(r.net_bytes));
       }
     }
     GTEST_SKIP() << "DAS_REGEN_GOLDEN set: printed fresh rows, skipped the "
@@ -388,6 +418,7 @@ TEST(GoldenResults, PinnedScenarioRowsAreBitExact) {
     EXPECT_EQ(r.rct.p99, row.p99_us);
     EXPECT_EQ(r.reranks_applied, row.reranks_applied);
     EXPECT_EQ(r.ops_aged, row.ops_aged);
+    EXPECT_EQ(r.net_bytes, row.net_bytes);
   }
 }
 
