@@ -91,7 +91,7 @@ void register_benches() {
   }
 }
 
-// Wire-level message costs, measured from the actual protocol encoders
+// Wire-level message costs, read from the protocol's field table
 // (core/wire.hpp), plus the per-policy scheduling fields each policy reads
 // out of the shared OpContext envelope.
 void print_metadata_table() {
@@ -111,7 +111,7 @@ void print_metadata_table() {
   table.add_row({"progress update",
                  std::to_string(core::wire::progress_wire_size()),
                  "per (request, still-pending server) on sibling completion"});
-  std::cout << "\n### E12 — Protocol message sizes (measured from encoders)\n\n";
+  std::cout << "\n### E12 — Protocol message sizes (from the wire field table)\n\n";
   table.print(std::cout);
 
   das::Table fields{{"policy", "scheduling fields read", "bytes of envelope used"}};

@@ -78,28 +78,48 @@ std::string Flags::get_string(const std::string& name) const {
   return it->second.value;
 }
 
-std::int64_t Flags::get_int(const std::string& name) const {
-  const std::string v = get_string(name);
+namespace {
+
+/// Runs `parse` (std::stoll or std::stod) over the whole of `v`. Whatever
+/// goes wrong — no digits, trailing junk, out of range — comes back as one
+/// std::invalid_argument that names the flag, never as the library's bare
+/// "stoll"/"stod".
+template <class Parse>
+auto parse_whole(const std::string& name, const std::string& v,
+                 const char* what, Parse parse) {
   std::size_t pos = 0;
-  const std::int64_t out = std::stoll(v, &pos);
-  DAS_CHECK_MSG(pos == v.size(), "flag --" + name + " is not an integer: " + v);
-  return out;
+  try {
+    const auto out = parse(v, &pos);
+    if (pos == v.size()) return out;
+  } catch (const std::invalid_argument&) {
+  } catch (const std::out_of_range&) {
+  }
+  throw std::invalid_argument("flag --" + name + " is not " + what + ": '" +
+                              v + "'");
+}
+
+}  // namespace
+
+std::int64_t Flags::get_int(const std::string& name) const {
+  return parse_whole(name, get_string(name), "an integer",
+                     [](const std::string& v, std::size_t* pos) {
+                       return static_cast<std::int64_t>(std::stoll(v, pos));
+                     });
 }
 
 double Flags::get_double(const std::string& name) const {
-  const std::string v = get_string(name);
-  std::size_t pos = 0;
-  const double out = std::stod(v, &pos);
-  DAS_CHECK_MSG(pos == v.size(), "flag --" + name + " is not a number: " + v);
-  return out;
+  return parse_whole(name, get_string(name), "a number",
+                     [](const std::string& v, std::size_t* pos) {
+                       return std::stod(v, pos);
+                     });
 }
 
 bool Flags::get_bool(const std::string& name) const {
   const std::string v = get_string(name);
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  DAS_CHECK_MSG(false, "flag --" + name + " is not a boolean: " + v);
-  return false;
+  throw std::invalid_argument("flag --" + name + " is not a boolean: '" + v +
+                              "'");
 }
 
 void Flags::print_help(std::ostream& os, const std::string& program) const {

@@ -34,8 +34,8 @@ class Flags {
   bool set_on_command_line(const std::string& name) const;
 
   std::string get_string(const std::string& name) const;
-  /// Typed accessors; throw std::logic_error on unparseable values so a bad
-  /// experiment spec never runs.
+  /// Typed accessors; throw std::invalid_argument naming the flag on an
+  /// unparseable or out-of-range value, so a bad experiment spec never runs.
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;

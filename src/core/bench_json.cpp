@@ -217,42 +217,4 @@ void write_bench_json(const std::string& path, const std::string& experiment,
   DAS_CHECK_MSG(out.good(), "failed writing JSON output file: " + path);
 }
 
-void render_perf_json(std::ostream& os, const std::string& experiment,
-                      const std::vector<PerfPoint>& points) {
-  os << "{\n  \"schema_version\": 2,\n  \"experiment\": ";
-  json_string(os, experiment);
-  os << ",\n  \"points\": [";
-  bool first = true;
-  for (const PerfPoint& p : points) {
-    os << (first ? "\n" : ",\n") << "    {\n      \"point\": ";
-    first = false;
-    json_string(os, p.point);
-    os << ",\n      \"events\": " << p.events;
-    os << ",\n      \"wall_seconds\": ";
-    json_double(os, p.wall_seconds);
-    os << ",\n      \"events_per_sec\": ";
-    json_double(os, p.events_per_sec);
-    os << ",\n      \"sim_time_us\": ";
-    json_double(os, p.sim_time_us);
-    os << "\n    }";
-  }
-  os << (first ? "]" : "\n  ]") << "\n}\n";
-}
-
-std::string perf_json_string(const std::string& experiment,
-                             const std::vector<PerfPoint>& points) {
-  std::ostringstream os;
-  render_perf_json(os, experiment, points);
-  return os.str();
-}
-
-void write_perf_json(const std::string& path, const std::string& experiment,
-                     const std::vector<PerfPoint>& points) {
-  std::ofstream out{path};
-  DAS_CHECK_MSG(out.good(), "cannot open JSON output file: " + path);
-  render_perf_json(out, experiment, points);
-  out.flush();
-  DAS_CHECK_MSG(out.good(), "failed writing JSON output file: " + path);
-}
-
 }  // namespace das::core

@@ -1,7 +1,7 @@
 // Structured JSON results emitter.
 //
 // Every bench (and dassim --sweep) can persist its sweep as
-// BENCH_<experiment>.json so the perf trajectory is machine-readable instead
+// BENCH_<experiment>.json so the results are machine-readable instead
 // of living only in printed tables. Schema (schema_version 6):
 //
 //   {
@@ -68,8 +68,7 @@
 // always-present "storage" object (store-model counters); 3 added the
 // per-point "degradation" object (fault plans, failover and
 // graceful-degradation accounting); 2 added the mechanism counters and the
-// per-point "breakdown" object (PR 3); 1 was the initial shape. (The perf
-// emitter below stays at schema_version 2 — its shape did not change.)
+// per-point "breakdown" object (PR 3); 1 was the initial shape.
 //
 // Points appear in registration order; all fields except wall_seconds are
 // bit-reproducible for a fixed seed, so diffs of two emissions reveal real
@@ -100,29 +99,5 @@ std::string bench_json_string(const std::string& experiment,
 /// failure).
 void write_bench_json(const std::string& path, const std::string& experiment,
                       const std::vector<SweepOutcome>& rows);
-
-/// One throughput measurement of the perf bench (BENCH_PERF.json). `events`
-/// and `sim_time_us` are deterministic for a fixed seed; the wall-clock
-/// fields are what the perf trajectory tracks.
-struct PerfPoint {
-  std::string point;
-  std::uint64_t events = 0;
-  double wall_seconds = 0;
-  double events_per_sec = 0;
-  double sim_time_us = 0;
-};
-
-/// Renders perf points as a BENCH_PERF.json document (schema_version 2, same
-/// envelope as render_bench_json: {schema_version, experiment, points}).
-void render_perf_json(std::ostream& os, const std::string& experiment,
-                      const std::vector<PerfPoint>& points);
-
-/// render_perf_json to a string.
-std::string perf_json_string(const std::string& experiment,
-                             const std::vector<PerfPoint>& points);
-
-/// Writes BENCH_PERF.json-style output to `path` (DAS_CHECK on I/O failure).
-void write_perf_json(const std::string& path, const std::string& experiment,
-                     const std::vector<PerfPoint>& points);
 
 }  // namespace das::core

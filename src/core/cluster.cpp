@@ -45,9 +45,6 @@ bool policy_uses_progress(sched::Policy policy) {
 
 Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     : config_(std::move(config)), window_(window), tracer_(tracer) {
-  DAS_CHECK(config_.num_servers >= 1);
-  DAS_CHECK(config_.num_clients >= 1);
-  DAS_CHECK(config_.keys_per_server >= 1);
   DAS_CHECK(window_.measure_us > 0);
   config_.validate();
 

@@ -33,6 +33,9 @@ void ClusterConfig::validate() const {
   const auto reject = [](const std::string& what) {
     throw std::invalid_argument("ClusterConfig: " + what);
   };
+  if (num_servers < 1) reject("num_servers must be >= 1");
+  if (num_clients < 1) reject("num_clients must be >= 1");
+  if (keys_per_server < 1) reject("keys_per_server must be >= 1");
   if (log_structured_storage) {
     reject(
         "log_structured_storage is no longer supported — the log-structured "

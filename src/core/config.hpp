@@ -158,7 +158,7 @@ struct ClusterConfig {
   /// Hedged reads: duplicate an unanswered op to another replica after this
   /// delay (needs replication >= 2); 0 disables.
   Duration hedge_delay_us = 0.0;
-  // (Message sizes are computed exactly by core/wire.hpp encoders.)
+  // (Message sizes come from the field table in core/wire.hpp.)
 
   // --- overload control ---------------------------------------------------
   /// Bounded queues / deadlines / admission control (src/overload). All

@@ -55,7 +55,7 @@ struct OpResponse {
   OpStatus status = OpStatus::kOk;
   /// Server-side timing echo for the RCT breakdown. Out of band: carried on
   /// the simulated message object but EXCLUDED from the wire-size model
-  /// (net/wire.hpp), so enabling the breakdown never changes net_bytes.
+  /// (core/wire.hpp), so enabling the breakdown never changes net_bytes.
   trace::OpServiceTiming timing;
 };
 

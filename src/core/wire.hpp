@@ -1,16 +1,13 @@
-// Wire format for the client/server protocol.
+// Wire sizes of the client/server protocol.
 //
-// Fixed-layout little-endian encoding with a Fletcher-32 trailer. The
-// simulator does not ship real bytes between entities — everything is
-// in-process — but the encoders make the protocol concrete: the cluster
-// charges the network with the EXACT encoded size of every message, the
-// overhead study (E12) reports real bytes, and the codecs are round-trip
-// fuzzed so the format is implementable outside the simulator as-is.
+// The simulator ships no bytes between entities — everything is in-process —
+// but every message is charged to the network at the size a fixed-layout
+// little-endian encoding would give it: the fields below, in order, plus a
+// 4-byte Fletcher-32 trailer. The cluster's net_bytes and the overhead study
+// (E12) both read these sizes.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
 #include "common/types.hpp"
 #include "core/server.hpp"
@@ -18,39 +15,54 @@
 
 namespace das::core::wire {
 
-using Buffer = std::vector<std::uint8_t>;
+// Field widths in bytes. Doubles travel as their 8-byte IEEE-754 pattern.
+//
+//   op request (98)             response (67)          progress (33)
+//   kind                 1      kind            1      kind                  1
+//   op_id                8      op_id           8      request_id            8
+//   request_id           8      request_id      8      remaining_critical    8
+//   client               4      client          4      est_other_completion  8
+//   key                  8      server          4      remaining_total       8
+//   demand               8      key             8
+//   request_arrival      8      hit             1
+//   remaining_critical   8      is_write        1
+//   est_other_completion 8      value_size      8
+//   bottleneck_ops       4      completed_at    8
+//   bottleneck_demand    8      d_hat           8
+//   total_demand         8      mu_hat          8
+//   deadline             8
+//   is_write             1
+//   write_size           8
+//
+// Overload-control extensions ride as optional trailing fields, present only
+// when the feature is active for the message, so a run with overload control
+// off pays nothing for it: an op with a finite expiry adds the 8-byte expiry,
+// and a response with a non-OK status adds the 1-byte status (and never
+// carries a payload).
+inline constexpr std::size_t kOpFixed =
+    1 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 8;
+inline constexpr std::size_t kResponseFixed =
+    1 + 8 + 8 + 4 + 4 + 8 + 1 + 1 + 8 + 8 + 8 + 8;
+inline constexpr std::size_t kProgressFixed = 1 + 8 + 8 + 8 + 8;
+inline constexpr std::size_t kTrailer = 4;
+inline constexpr std::size_t kOpExpiryExt = 8;
+inline constexpr std::size_t kResponseStatusExt = 1;
 
-/// Message kind tags (first byte of every message).
-enum class MessageKind : std::uint8_t {
-  kOpRequest = 1,
-  kOpResponse = 2,
-  kProgress = 3,
-};
+inline std::size_t op_wire_size(const sched::OpContext& op) {
+  return kOpFixed + kTrailer + (op.expiry != kTimeInfinity ? kOpExpiryExt : 0);
+}
 
-/// Fletcher-32 over a byte range (the 4-byte trailer of every message).
-std::uint32_t fletcher32(const std::uint8_t* data, std::size_t size);
+/// Header plus the value payload for read hits (writes ack without data);
+/// shed responses carry a status byte and never a payload.
+inline std::size_t response_wire_size(const OpResponse& resp) {
+  if (resp.status != OpStatus::kOk)
+    return kResponseFixed + kTrailer + kResponseStatusExt;
+  return kResponseFixed + kTrailer +
+         (resp.hit && !resp.is_write ? resp.value_size : 0);
+}
 
-/// --- operation request ----------------------------------------------------
-Buffer encode_op(const sched::OpContext& op);
-/// Decodes and verifies the checksum; nullopt on truncation, corruption or
-/// kind mismatch. Server-local fields (enqueued_at) are not transmitted.
-std::optional<sched::OpContext> decode_op(const Buffer& buffer);
-/// Exact encoded size without building the buffer.
-std::size_t op_wire_size(const sched::OpContext& op);
-
-/// --- operation response ---------------------------------------------------
-/// The value payload is accounted for in wire size but not materialised.
-Buffer encode_response(const OpResponse& resp);
-std::optional<OpResponse> decode_response(const Buffer& buffer);
-std::size_t response_wire_size(const OpResponse& resp);
-
-/// --- progress update --------------------------------------------------------
-Buffer encode_progress(RequestId request, const sched::ProgressUpdate& update);
-struct DecodedProgress {
-  RequestId request = 0;
-  sched::ProgressUpdate update;
-};
-std::optional<DecodedProgress> decode_progress(const Buffer& buffer);
-std::size_t progress_wire_size();
+inline constexpr std::size_t progress_wire_size() {
+  return kProgressFixed + kTrailer;
+}
 
 }  // namespace das::core::wire

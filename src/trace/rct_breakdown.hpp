@@ -39,8 +39,8 @@ namespace das::trace {
 
 /// Per-op service timing echoed by the server on each response. This is
 /// observability side-channel state, NOT protocol payload: it is excluded
-/// from the wire-format encoders and sizes (core/wire.hpp), so enabling the
-/// breakdown never changes simulated network bytes.
+/// from the wire sizes (core/wire.hpp), so enabling the breakdown never
+/// changes simulated network bytes.
 struct OpServiceTiming {
   SimTime enqueued_at = 0;    // joined the scheduler queue
   SimTime service_start = 0;  // entered service

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace das {
@@ -113,11 +115,36 @@ TEST(Flags, PositionalsCollected) {
             (std::vector<std::string>{"trace.txt", "out.csv"}));
 }
 
+// Every way a number can be bad — no digits, trailing junk, out of range —
+// throws one std::invalid_argument whose message names the flag and the
+// value, so a command-line tool can print it as a usage error.
 TEST(Flags, BadNumberThrows) {
+  const auto message_of = [](const auto& read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "<no std::invalid_argument>";
+  };
+  for (const char* bad : {"abc", "8x", "", "99999999999999999999"}) {
+    Flags flags;
+    flags.define("servers", bad, "");
+    const std::string msg = message_of([&] { flags.get_int("servers"); });
+    EXPECT_NE(msg.find("--servers"), std::string::npos) << bad << ": " << msg;
+    EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos) << msg;
+  }
+  for (const char* bad : {"x", "0.5s", "", "1e999"}) {
+    Flags flags;
+    flags.define("load", bad, "");
+    const std::string msg = message_of([&] { flags.get_double("load"); });
+    EXPECT_NE(msg.find("--load"), std::string::npos) << bad << ": " << msg;
+    EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos) << msg;
+  }
   Flags flags;
-  flags.define("load", "abc", "");
-  EXPECT_THROW(flags.get_double("load"), std::logic_error);
-  EXPECT_THROW(flags.get_int("load"), std::logic_error);
+  flags.define("admission", "maybe", "");
+  EXPECT_NE(message_of([&] { flags.get_bool("admission"); }).find("--admission"),
+            std::string::npos);
 }
 
 TEST(Flags, BoolVariants) {

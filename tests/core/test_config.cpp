@@ -125,6 +125,18 @@ TEST(ConfigValidate, RejectionsNameTheOffendingField) {
   cfg.retry_max_attempts = 5;  // give-up bound without retransmission
   EXPECT_NE(validation_error(cfg).find("retry_max_attempts"),
             std::string::npos);
+
+  cfg = ClusterConfig{};
+  cfg.num_servers = 0;
+  EXPECT_NE(validation_error(cfg).find("num_servers"), std::string::npos);
+
+  cfg = ClusterConfig{};
+  cfg.num_clients = 0;
+  EXPECT_NE(validation_error(cfg).find("num_clients"), std::string::npos);
+
+  cfg = ClusterConfig{};
+  cfg.keys_per_server = 0;
+  EXPECT_NE(validation_error(cfg).find("keys_per_server"), std::string::npos);
 }
 
 TEST(ConfigValidate, RejectsLogStructuredStorage) {

@@ -1,208 +1,81 @@
-// Protocol codec: round-trip fidelity, checksum integrity, exact sizing.
+// Protocol wire sizes: what the network charges for each message.
 #include "core/wire.hpp"
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-
 namespace das::core::wire {
 namespace {
 
-sched::OpContext random_op(Rng& rng) {
-  sched::OpContext op;
-  op.op_id = rng.next_u64();
-  op.request_id = rng.next_u64();
-  op.client = static_cast<ClientId>(rng.next_below(1 << 16));
-  op.key = rng.next_u64();
-  op.demand_us = rng.uniform(0, 1e6);
-  op.request_arrival = rng.uniform(0, 1e9);
-  op.remaining_critical_us = rng.uniform(0, 1e6);
-  op.est_other_completion = rng.chance(0.5) ? rng.uniform(0, 1e9) : 0;
-  op.bottleneck_ops = static_cast<std::uint32_t>(rng.next_below(256));
-  op.bottleneck_demand_us = rng.uniform(0, 1e6);
-  op.total_demand_us = rng.uniform(0, 1e7);
-  op.deadline = rng.uniform(0, 1e9);
-  op.is_write = rng.chance(0.3);
-  op.write_size = rng.next_below(1 << 20);
-  // Optional overload extension: absent (infinity) half of the time, like a
-  // run without deadlines.
-  op.expiry = rng.chance(0.5) ? rng.uniform(0, 1e9) : kTimeInfinity;
-  return op;
-}
+// The sizes every net_bytes figure and E12 rest on, as literals: a change to
+// the field table shows up here before it moves a golden row.
+TEST(Wire, MessageSizesArePinned) {
+  const sched::OpContext op;
+  EXPECT_EQ(op_wire_size(op), 102u);
 
-OpResponse random_response(Rng& rng) {
   OpResponse resp;
-  resp.op_id = rng.next_u64();
-  resp.request_id = rng.next_u64();
-  resp.client = static_cast<ClientId>(rng.next_below(1 << 16));
-  resp.server = static_cast<ServerId>(rng.next_below(1 << 16));
-  resp.key = rng.next_u64();
-  resp.hit = rng.chance(0.9);
-  resp.is_write = rng.chance(0.3);
-  resp.value_size = rng.next_below(1 << 16);
-  resp.completed_at = rng.uniform(0, 1e9);
-  resp.d_hat_us = rng.uniform(0, 1e6);
-  resp.mu_hat = rng.uniform(0.01, 4.0);
-  return resp;
+  resp.hit = true;
+  resp.value_size = 1000;
+  EXPECT_EQ(response_wire_size(resp), 71u + 1000u);  // read hit: payload
+  resp.is_write = true;
+  EXPECT_EQ(response_wire_size(resp), 71u);  // write ack: no payload
+  resp.is_write = false;
+  resp.hit = false;
+  EXPECT_EQ(response_wire_size(resp), 71u);  // read miss: no payload
 }
 
-TEST(Wire, OpRoundTripFuzz) {
-  Rng rng{1};
-  for (int i = 0; i < 5000; ++i) {
-    const sched::OpContext op = random_op(rng);
-    const Buffer buf = encode_op(op);
-    EXPECT_EQ(buf.size(), op_wire_size(op));
-    const auto decoded = decode_op(buf);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->op_id, op.op_id);
-    EXPECT_EQ(decoded->request_id, op.request_id);
-    EXPECT_EQ(decoded->client, op.client);
-    EXPECT_EQ(decoded->key, op.key);
-    EXPECT_DOUBLE_EQ(decoded->demand_us, op.demand_us);
-    EXPECT_DOUBLE_EQ(decoded->request_arrival, op.request_arrival);
-    EXPECT_DOUBLE_EQ(decoded->remaining_critical_us, op.remaining_critical_us);
-    EXPECT_DOUBLE_EQ(decoded->est_other_completion, op.est_other_completion);
-    EXPECT_EQ(decoded->bottleneck_ops, op.bottleneck_ops);
-    EXPECT_DOUBLE_EQ(decoded->bottleneck_demand_us, op.bottleneck_demand_us);
-    EXPECT_DOUBLE_EQ(decoded->total_demand_us, op.total_demand_us);
-    EXPECT_DOUBLE_EQ(decoded->deadline, op.deadline);
-    EXPECT_EQ(decoded->is_write, op.is_write);
-    EXPECT_EQ(decoded->write_size, op.write_size);
-    EXPECT_DOUBLE_EQ(decoded->expiry, op.expiry);
-  }
-}
+// The overload-control extensions are pinned in the tests below because no
+// golden scenario turns on deadlines or bounded queues.
 
+// An op without a deadline pays nothing for the expiry extension; a finite
+// expiry adds exactly its 8 bytes.
 TEST(Wire, OpExpiryExtensionIsLengthDerived) {
-  Rng rng{11};
-  sched::OpContext op = random_op(rng);
-  // No deadline: the wire image must be byte-identical to a pre-overload
-  // build (no trailing extension at all).
+  sched::OpContext op;
   op.expiry = kTimeInfinity;
-  const Buffer legacy = encode_op(op);
-  EXPECT_EQ(legacy.size(), op_wire_size(op));
+  const std::size_t legacy = op_wire_size(op);
+  EXPECT_EQ(legacy, 102u);
   op.expiry = 12345.5;
-  const Buffer extended = encode_op(op);
-  EXPECT_EQ(extended.size(), legacy.size() + 8);
-  EXPECT_EQ(extended.size(), op_wire_size(op));
-  const auto decoded_legacy = decode_op(legacy);
-  ASSERT_TRUE(decoded_legacy.has_value());
-  EXPECT_EQ(decoded_legacy->expiry, kTimeInfinity);
-  const auto decoded_ext = decode_op(extended);
-  ASSERT_TRUE(decoded_ext.has_value());
-  EXPECT_DOUBLE_EQ(decoded_ext->expiry, 12345.5);
+  EXPECT_EQ(op_wire_size(op), legacy + 8);
+  EXPECT_EQ(op_wire_size(op), 110u);
+  op.expiry = 0.0;  // a zero expiry is still finite, so still extended
+  EXPECT_EQ(op_wire_size(op), 110u);
 }
 
-TEST(Wire, ResponseRoundTripFuzz) {
-  Rng rng{2};
-  for (int i = 0; i < 5000; ++i) {
-    const OpResponse resp = random_response(rng);
-    const Buffer buf = encode_response(resp);
-    const auto decoded = decode_response(buf);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->op_id, resp.op_id);
-    EXPECT_EQ(decoded->server, resp.server);
-    EXPECT_EQ(decoded->hit, resp.hit);
-    EXPECT_EQ(decoded->is_write, resp.is_write);
-    EXPECT_EQ(decoded->value_size, resp.value_size);
-    EXPECT_DOUBLE_EQ(decoded->d_hat_us, resp.d_hat_us);
-    EXPECT_DOUBLE_EQ(decoded->mu_hat, resp.mu_hat);
-  }
-}
-
+// BUSY and EXPIRED responses carry the 1-byte status past the kOk header
+// and never a payload, whatever the hit/value_size fields say.
 TEST(Wire, ShedResponseRoundTrip) {
-  Rng rng{6};
   for (const OpStatus status : {OpStatus::kBusy, OpStatus::kExpired}) {
-    OpResponse resp = random_response(rng);
-    // respond_shed never carries a payload: hit=false, value_size=0.
-    resp.hit = false;
-    resp.value_size = 0;
+    OpResponse resp;
+    resp.hit = true;
+    resp.value_size = 1000;
     resp.status = status;
-    const Buffer buf = encode_response(resp);
-    EXPECT_EQ(buf.size(), response_wire_size(resp));
-    const auto decoded = decode_response(buf);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->status, status);
-    EXPECT_EQ(decoded->op_id, resp.op_id);
-    EXPECT_FALSE(decoded->hit);
-    EXPECT_DOUBLE_EQ(decoded->d_hat_us, resp.d_hat_us);
-    EXPECT_DOUBLE_EQ(decoded->mu_hat, resp.mu_hat);
-    // The status extension is one trailing byte past the kOk image.
+    EXPECT_EQ(response_wire_size(resp), 72u);
     OpResponse ok = resp;
     ok.status = OpStatus::kOk;
-    EXPECT_EQ(buf.size(), encode_response(ok).size() + 1);
+    ok.hit = false;
+    ok.value_size = 0;
+    EXPECT_EQ(response_wire_size(resp), response_wire_size(ok) + 1);
   }
 }
 
+// A kOk response has no status byte: its size is the header plus any payload,
+// for reads, writes, hits and misses alike.
 TEST(Wire, OkResponseCarriesNoStatusByte) {
-  Rng rng{7};
-  OpResponse resp = random_response(rng);
-  const Buffer buf = encode_response(resp);
-  EXPECT_EQ(buf.size(), response_wire_size(resp));
-  const auto decoded = decode_response(buf);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->status, OpStatus::kOk);
-  // A non-canonical kOk-with-trailing-byte image is rejected outright, so
-  // there is exactly one wire image per response. Rewrite the status byte
-  // (just before the 4-byte trailer) to kOk and reseal the checksum so the
-  // canonical-form check itself, not the checksum, does the rejecting.
-  OpResponse shed = resp;
-  shed.hit = false;
-  shed.value_size = 0;
-  shed.status = OpStatus::kBusy;
-  Buffer padded = encode_response(shed);
-  padded[padded.size() - 5] = 0;
-  const std::uint32_t sum = fletcher32(padded.data(), padded.size() - 4);
-  for (int i = 0; i < 4; ++i)
-    padded[padded.size() - 4 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(sum >> (8 * i));
-  EXPECT_FALSE(decode_response(padded).has_value());
+  for (const bool is_write : {false, true}) {
+    for (const bool hit : {false, true}) {
+      OpResponse resp;
+      resp.status = OpStatus::kOk;
+      resp.is_write = is_write;
+      resp.hit = hit;
+      resp.value_size = 500;
+      const std::size_t payload = hit && !is_write ? 500u : 0u;
+      EXPECT_EQ(response_wire_size(resp), 71u + payload);
+    }
+  }
 }
 
 TEST(Wire, ProgressRoundTrip) {
-  sched::ProgressUpdate update;
-  update.remaining_critical_us = 123.5;
-  update.est_other_completion = 99887.25;
-  update.remaining_total_us = 456.75;
-  const Buffer buf = encode_progress(0xABCDEF, update);
-  EXPECT_EQ(buf.size(), progress_wire_size());
-  const auto decoded = decode_progress(buf);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->request, 0xABCDEFu);
-  EXPECT_DOUBLE_EQ(decoded->update.remaining_critical_us, 123.5);
-  EXPECT_DOUBLE_EQ(decoded->update.est_other_completion, 99887.25);
-  EXPECT_DOUBLE_EQ(decoded->update.remaining_total_us, 456.75);
-}
-
-TEST(Wire, ChecksumDetectsSingleBitFlips) {
-  Rng rng{3};
-  const sched::OpContext op = random_op(rng);
-  const Buffer original = encode_op(op);
-  int detected = 0, trials = 0;
-  for (std::size_t byte = 0; byte < original.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      Buffer corrupted = original;
-      corrupted[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      ++trials;
-      if (!decode_op(corrupted).has_value()) ++detected;
-    }
-  }
-  EXPECT_EQ(detected, trials);  // Fletcher-32 catches every single-bit flip
-}
-
-TEST(Wire, TruncationRejected) {
-  Rng rng{4};
-  const Buffer buf = encode_op(random_op(rng));
-  for (std::size_t len : {0ul, 1ul, 4ul, buf.size() / 2, buf.size() - 1}) {
-    Buffer truncated{buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(len)};
-    EXPECT_FALSE(decode_op(truncated).has_value()) << "len=" << len;
-  }
-}
-
-TEST(Wire, KindMismatchRejected) {
-  Rng rng{5};
-  const Buffer op_buf = encode_op(random_op(rng));
-  EXPECT_FALSE(decode_response(op_buf).has_value());
-  EXPECT_FALSE(decode_progress(op_buf).has_value());
+  EXPECT_EQ(progress_wire_size(), 37u);
+  static_assert(progress_wire_size() == 37u);
 }
 
 TEST(Wire, ReadResponseChargesPayloadWriteAckDoesNot) {
@@ -214,14 +87,6 @@ TEST(Wire, ReadResponseChargesPayloadWriteAckDoesNot) {
   resp.is_write = true;
   const std::size_t write_size = response_wire_size(resp);
   EXPECT_EQ(read_size, write_size + 1000);
-}
-
-TEST(Wire, Fletcher32KnownProperties) {
-  const std::uint8_t a[] = {'a', 'b', 'c', 'd', 'e'};
-  const std::uint8_t b[] = {'a', 'b', 'c', 'd', 'f'};
-  EXPECT_NE(fletcher32(a, sizeof a), fletcher32(b, sizeof b));
-  EXPECT_EQ(fletcher32(a, sizeof a), fletcher32(a, sizeof a));
-  EXPECT_EQ(fletcher32(a, 0), 0u);
 }
 
 }  // namespace

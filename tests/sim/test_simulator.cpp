@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <vector>
@@ -141,6 +143,33 @@ TEST(Simulator, DispatchCountTracks) {
   for (int i = 0; i < 7; ++i) sim.schedule_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_dispatched(), 7u);
+}
+
+// Hedging-style churn: every dispatched "response" cancels the three hedge
+// timers armed with it, long before they are due. Only the responses may
+// count as dispatched, with or without heap compaction.
+TEST(Simulator, CancelledEventsAreNotDispatched) {
+  for (const bool compaction : {true, false}) {
+    Simulator sim;
+    sim.set_compaction_enabled(compaction);
+    Rng rng{0xCA4CE1};
+    std::uint64_t remaining = 20000;
+    std::function<void()> step = [&] {
+      if (remaining == 0) return;
+      --remaining;
+      std::array<EventHandle, 3> hedges;
+      for (std::size_t i = 0; i < hedges.size(); ++i)
+        hedges[i] = sim.schedule_after(50.0 + static_cast<double>(i), [] {});
+      sim.schedule_after(rng.uniform(1.0, 10.0), [&, hedges] {
+        for (const EventHandle h : hedges) sim.cancel(h);
+        step();
+      });
+    };
+    for (int lane = 0; lane < 32; ++lane) step();
+    sim.run();
+    EXPECT_EQ(sim.events_dispatched(), 20000u) << "compaction " << compaction;
+    EXPECT_TRUE(sim.empty());
+  }
 }
 
 TEST(PeriodicProcess, FiresAtMultiplesOfPeriod) {

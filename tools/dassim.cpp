@@ -6,7 +6,6 @@
 //   ./build/tools/dassim --sweep --jobs=4 --json=BENCH_sweep.json
 //   ./build/tools/dassim --policy=das --trace=trace.json --breakdown
 //   ./build/tools/dassim --load=1.2 --queue-cap=64 --deadline-ms=20 --admission
-//   ./build/tools/dassim --perf --perf-json=BENCH_PERF.json
 //
 // Prints one row per policy; --format=csv emits machine-readable output for
 // plotting scripts. --sweep runs a (load grid x policy) sweep across a
@@ -19,6 +18,7 @@
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -26,7 +26,6 @@
 #include "core/bench_json.hpp"
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
-#include "core/perf.hpp"
 #include "core/sweep.hpp"
 #include "fault/fault_plan.hpp"
 #include "overload/overload.hpp"
@@ -40,6 +39,27 @@
 namespace {
 
 using namespace das;
+
+/// A count flag: a non-negative integer. A negative one would wrap to a huge
+/// unsigned size and fail far from the command line that asked for it.
+std::uint64_t get_count(const Flags& flags, const std::string& name) {
+  const std::int64_t v = flags.get_int(name);
+  if (v < 0) {
+    throw std::invalid_argument("flag --" + name + " must be >= 0, got " +
+                                std::to_string(v));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+/// A distribution-spec flag; the parser's message gains the flag's name.
+template <class Parse>
+auto parse_spec_flag(const Flags& flags, const std::string& name, Parse parse) {
+  try {
+    return parse(flags.get_string(name));
+  } catch (const std::logic_error& e) {
+    throw std::invalid_argument("flag --" + name + ": " + e.what());
+  }
+}
 
 std::vector<sched::Policy> parse_policies(const std::string& spec) {
   if (spec == "all") return sched::all_policies();
@@ -166,6 +186,158 @@ int run_sweep(const core::ClusterConfig& base, const core::RunWindow& window,
     std::cerr << "wrote " << json_path << "\n";
   }
   return 0;
+}
+
+/// Everything a run takes from the command line.
+struct Invocation {
+  core::ClusterConfig cfg;
+  core::RunWindow window;
+  std::vector<sched::Policy> policies;
+  bool sweep = false;
+  bool breakdown = false;
+  std::size_t trace_cap = 0;
+};
+
+/// Reads and checks every flag value before anything runs. A bad value (an
+/// unparseable number, a negative count, a malformed spec, an invalid
+/// combination) throws a std::logic_error whose message names the flag or
+/// the config field; dassim prints it as a usage error (exit 2), never an
+/// abort.
+Invocation read_invocation(const Flags& flags) {
+  Invocation inv;
+  core::ClusterConfig& cfg = inv.cfg;
+  core::RunWindow& window = inv.window;
+  cfg.num_servers = get_count(flags, "servers");
+  cfg.num_clients = get_count(flags, "clients");
+  cfg.keys_per_server = get_count(flags, "keys-per-server");
+  cfg.target_load = flags.get_double("load");
+  const std::string calibration = flags.get_string("calibration");
+  if (calibration == "average") {
+    cfg.load_calibration = core::LoadCalibration::kAverageCapacity;
+  } else if (calibration == "hottest") {
+    cfg.load_calibration = core::LoadCalibration::kHottestServer;
+  } else {
+    throw std::invalid_argument("unknown --calibration: " + calibration);
+  }
+  cfg.zipf_theta = flags.get_double("theta");
+  cfg.fanout = parse_spec_flag(flags, "fanout", workload::parse_int_dist);
+  cfg.value_size_bytes =
+      parse_spec_flag(flags, "value-size", workload::parse_real_dist);
+  cfg.per_op_overhead_us = flags.get_double("op-overhead-us");
+  cfg.service_bytes_per_us = flags.get_double("bytes-per-us");
+  cfg.net_latency_us = flags.get_double("net-latency-us");
+  cfg.replication = get_count(flags, "replication");
+  std::string selection = flags.get_string("selection");
+  if (!flags.get_string("replica-selection").empty())
+    selection = flags.get_string("replica-selection");
+  if (!select::mode_from_string(selection, cfg.replica_selection)) {
+    throw std::invalid_argument("unknown --selection: " + selection);
+  }
+  cfg.ring_vnodes = get_count(flags, "ring-vnodes");
+  cfg.msg_loss_probability = flags.get_double("loss");
+  cfg.retry_timeout_us = flags.get_double("retry-ms") * kMillisecond;
+  cfg.retry_backoff_max_us = flags.get_double("backoff-cap-ms") * kMillisecond;
+  cfg.retry_max_attempts =
+      static_cast<std::uint32_t>(get_count(flags, "retry-max-attempts"));
+  cfg.suspicion_rto_threshold =
+      static_cast<std::uint32_t>(get_count(flags, "suspicion-rtos"));
+  cfg.hedge_delay_us = flags.get_double("hedge-ms") * kMillisecond;
+  cfg.overload.queue_cap = get_count(flags, "queue-cap");
+  if (!overload::policy_from_string(flags.get_string("overload-policy"),
+                                    cfg.overload.reject_policy)) {
+    throw std::invalid_argument("unknown --overload-policy: " +
+                                flags.get_string("overload-policy"));
+  }
+  cfg.overload.sojourn_threshold_us = flags.get_double("sojourn-us");
+  cfg.overload.deadline_budget_us =
+      flags.get_double("deadline-ms") * kMillisecond;
+  cfg.overload.admission = flags.get_bool("admission");
+  cfg.preemptive_service = flags.get_bool("preemptive");
+  cfg.write_fraction = flags.get_double("write-fraction");
+  if (!core::store_model_from_string(flags.get_string("store"),
+                                     cfg.store_model)) {
+    throw std::invalid_argument("unknown --store: " + flags.get_string("store"));
+  }
+  cfg.lsm.memtable_bytes = flags.get_double("lsm-memtable-kb") * 1024.0;
+  cfg.lsm.l0_compaction_trigger = get_count(flags, "lsm-compact-trigger");
+  cfg.lsm.compaction_bytes_per_us = flags.get_double("lsm-drain-bpus");
+  cfg.lsm.compaction_capacity_factor = flags.get_double("lsm-compact-slowdown");
+  cfg.lsm.stall_debt_bytes = flags.get_double("lsm-stall-kb") * 1024.0;
+  cfg.lsm.stall_write_multiplier = flags.get_double("lsm-stall-mult");
+  cfg.lsm.interference = flags.get_bool("lsm-interference");
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  cfg.audit_every_events = get_count(flags, "audit-every");
+  const double straggler_fraction = flags.get_double("stragglers");
+  if (straggler_fraction > 0) {
+    cfg.server_speed_factors.assign(cfg.num_servers, 1.0);
+    const auto n = static_cast<std::size_t>(
+        straggler_fraction * static_cast<double>(cfg.num_servers));
+    const double speed = flags.get_double("straggler-speed");
+    for (std::size_t i = 0; i < n && i < cfg.num_servers; ++i)
+      cfg.server_speed_factors[i] = speed;
+  }
+
+  // Workload registry: --replay is sugar for --workload=replay:FILE; a
+  // single --workload becomes a one-tenant list.
+  std::string workload_spec = flags.get_string("workload");
+  const std::string tenants_spec = flags.get_string("tenants");
+  const std::string replay_path = flags.get_string("replay");
+  if (!replay_path.empty()) {
+    if (!workload_spec.empty() || !tenants_spec.empty()) {
+      throw std::invalid_argument(
+          "--replay is shorthand for --workload=replay:FILE; give only one "
+          "of --replay / --workload / --tenants");
+    }
+    workload_spec = "replay:" + replay_path;
+  }
+  if (!workload_spec.empty() && !tenants_spec.empty()) {
+    throw std::invalid_argument(
+        "--workload and --tenants are mutually exclusive");
+  }
+  if (!tenants_spec.empty()) {
+    cfg.tenants = workload::parse_tenants(tenants_spec);
+  } else if (!workload_spec.empty()) {
+    cfg.tenants = {workload::parse_tenant(workload_spec)};
+    if (cfg.tenants.front().name.empty()) cfg.tenants.front().name = "t0";
+  }
+
+  window.warmup_us = flags.get_double("warmup-ms") * kMillisecond;
+  window.measure_us = flags.get_double("measure-ms") * kMillisecond;
+  if (!(window.warmup_us >= 0))
+    throw std::invalid_argument("flag --warmup-ms must be >= 0");
+  if (!(window.measure_us > 0))
+    throw std::invalid_argument("flag --measure-ms must be > 0");
+
+  // Fault timeline: scripted spec and/or seeded chaos windows (appended,
+  // then re-sorted so the combined plan stays time-ordered).
+  const std::string fault_spec = flags.get_string("faults");
+  if (!fault_spec.empty()) cfg.fault_plan = fault::parse_fault_plan(fault_spec);
+  fault::ChaosOptions chaos;
+  chaos.horizon_us = window.horizon();
+  chaos.num_servers = static_cast<std::uint32_t>(cfg.num_servers);
+  chaos.num_clients = static_cast<std::uint32_t>(cfg.num_clients);
+  chaos.crashes = static_cast<std::uint32_t>(get_count(flags, "chaos-crashes"));
+  chaos.slowdowns =
+      static_cast<std::uint32_t>(get_count(flags, "chaos-slowdowns"));
+  chaos.partitions =
+      static_cast<std::uint32_t>(get_count(flags, "chaos-partitions"));
+  if (chaos.crashes + chaos.slowdowns + chaos.partitions > 0) {
+    const fault::FaultPlan generated = fault::make_chaos_plan(
+        chaos, static_cast<std::uint64_t>(flags.get_int("chaos-seed")));
+    cfg.fault_plan.events.insert(cfg.fault_plan.events.end(),
+                                 generated.events.begin(),
+                                 generated.events.end());
+    std::stable_sort(cfg.fault_plan.events.begin(), cfg.fault_plan.events.end(),
+                     [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
+                       return a.at < b.at;
+                     });
+  }
+  cfg.validate();
+  inv.policies = parse_policies(flags.get_string("policy"));
+  inv.sweep = flags.get_bool("sweep");
+  inv.breakdown = flags.get_bool("breakdown");
+  inv.trace_cap = get_count(flags, "trace-cap");
+  return inv;
 }
 
 }  // namespace
@@ -298,12 +470,6 @@ int main(int argc, char** argv) {
                "maximum retained trace events (overflow counted, not kept)");
   flags.define("breakdown", "false",
                "print the exact per-component RCT attribution per policy");
-  flags.define("perf", "false",
-               "run the engine throughput suite (events/sec) instead of an "
-               "experiment and write --perf-json");
-  flags.define("perf-scale", "1", "event-budget multiplier for --perf");
-  flags.define("perf-json", "BENCH_PERF.json",
-               "where --perf writes its schema_version-2 JSON ('' = skip)");
   flags.define("help", "false", "show this help");
 
   std::string error;
@@ -317,180 +483,21 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (flags.get_bool("perf")) {
-    core::PerfOptions options;
-    options.scale = flags.get_double("perf-scale");
-    if (options.scale <= 0) {
-      std::cerr << "--perf-scale must be positive\n";
-      return 2;
-    }
-    const std::vector<core::PerfPoint> points = core::run_perf_suite(options);
-    Table table{{"point", "events", "wall (s)", "events/sec", "sim time (ms)"}};
-    for (const core::PerfPoint& p : points) {
-      table.add_row({p.point, std::to_string(p.events),
-                     Table::fmt(p.wall_seconds, 3),
-                     Table::fmt(p.events_per_sec, 0),
-                     Table::fmt(p.sim_time_us / 1000.0, 1)});
-    }
-    std::cout << "== engine throughput (scale "
-              << flags.get_string("perf-scale") << ") ==\n";
-    table.print(std::cout);
-    const std::string perf_json = flags.get_string("perf-json");
-    if (!perf_json.empty()) {
-      core::write_perf_json(perf_json, "perf_throughput", points);
-      std::cerr << "wrote " << perf_json << "\n";
-    }
-    return 0;
-  }
-
-  core::ClusterConfig cfg;
-  cfg.num_servers = static_cast<std::size_t>(flags.get_int("servers"));
-  cfg.num_clients = static_cast<std::size_t>(flags.get_int("clients"));
-  cfg.keys_per_server = static_cast<std::uint64_t>(flags.get_int("keys-per-server"));
-  cfg.target_load = flags.get_double("load");
-  const std::string calibration = flags.get_string("calibration");
-  if (calibration == "average") {
-    cfg.load_calibration = core::LoadCalibration::kAverageCapacity;
-  } else if (calibration == "hottest") {
-    cfg.load_calibration = core::LoadCalibration::kHottestServer;
-  } else {
-    std::cerr << "unknown --calibration: " << calibration << "\n";
-    return 2;
-  }
-  cfg.zipf_theta = flags.get_double("theta");
-  cfg.fanout = workload::parse_int_dist(flags.get_string("fanout"));
-  cfg.value_size_bytes = workload::parse_real_dist(flags.get_string("value-size"));
-  cfg.per_op_overhead_us = flags.get_double("op-overhead-us");
-  cfg.service_bytes_per_us = flags.get_double("bytes-per-us");
-  cfg.net_latency_us = flags.get_double("net-latency-us");
-  cfg.replication = static_cast<std::size_t>(flags.get_int("replication"));
-  std::string selection = flags.get_string("selection");
-  if (!flags.get_string("replica-selection").empty())
-    selection = flags.get_string("replica-selection");
-  if (!select::mode_from_string(selection, cfg.replica_selection)) {
-    std::cerr << "unknown --selection: " << selection << "\n";
-    return 2;
-  }
-  cfg.ring_vnodes = static_cast<std::size_t>(flags.get_int("ring-vnodes"));
-  cfg.msg_loss_probability = flags.get_double("loss");
-  cfg.retry_timeout_us = flags.get_double("retry-ms") * kMillisecond;
-  cfg.retry_backoff_max_us = flags.get_double("backoff-cap-ms") * kMillisecond;
-  cfg.retry_max_attempts =
-      static_cast<std::uint32_t>(flags.get_int("retry-max-attempts"));
-  cfg.suspicion_rto_threshold =
-      static_cast<std::uint32_t>(flags.get_int("suspicion-rtos"));
-  cfg.hedge_delay_us = flags.get_double("hedge-ms") * kMillisecond;
-  cfg.overload.queue_cap = static_cast<std::size_t>(flags.get_int("queue-cap"));
-  if (!overload::policy_from_string(flags.get_string("overload-policy"),
-                                    cfg.overload.reject_policy)) {
-    std::cerr << "unknown --overload-policy: "
-              << flags.get_string("overload-policy") << "\n";
-    return 2;
-  }
-  cfg.overload.sojourn_threshold_us = flags.get_double("sojourn-us");
-  cfg.overload.deadline_budget_us = flags.get_double("deadline-ms") * kMillisecond;
-  cfg.overload.admission = flags.get_bool("admission");
-  cfg.preemptive_service = flags.get_bool("preemptive");
-  cfg.write_fraction = flags.get_double("write-fraction");
-  if (!core::store_model_from_string(flags.get_string("store"), cfg.store_model)) {
-    std::cerr << "unknown --store: " << flags.get_string("store") << "\n";
-    return 2;
-  }
-  cfg.lsm.memtable_bytes = flags.get_double("lsm-memtable-kb") * 1024.0;
-  cfg.lsm.l0_compaction_trigger =
-      static_cast<std::size_t>(flags.get_int("lsm-compact-trigger"));
-  cfg.lsm.compaction_bytes_per_us = flags.get_double("lsm-drain-bpus");
-  cfg.lsm.compaction_capacity_factor = flags.get_double("lsm-compact-slowdown");
-  cfg.lsm.stall_debt_bytes = flags.get_double("lsm-stall-kb") * 1024.0;
-  cfg.lsm.stall_write_multiplier = flags.get_double("lsm-stall-mult");
-  cfg.lsm.interference = flags.get_bool("lsm-interference");
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  cfg.audit_every_events = static_cast<std::uint64_t>(flags.get_int("audit-every"));
-  const double straggler_fraction = flags.get_double("stragglers");
-  if (straggler_fraction > 0) {
-    cfg.server_speed_factors.assign(cfg.num_servers, 1.0);
-    const auto n = static_cast<std::size_t>(
-        straggler_fraction * static_cast<double>(cfg.num_servers));
-    const double speed = flags.get_double("straggler-speed");
-    for (std::size_t i = 0; i < n && i < cfg.num_servers; ++i)
-      cfg.server_speed_factors[i] = speed;
-  }
-
-  // Workload registry: --replay is sugar for --workload=replay:FILE; a
-  // single --workload becomes a one-tenant list. Registry parse errors are
-  // usage errors.
+  Invocation inv;
   try {
-    std::string workload_spec = flags.get_string("workload");
-    const std::string tenants_spec = flags.get_string("tenants");
-    const std::string replay_path = flags.get_string("replay");
-    if (!replay_path.empty()) {
-      if (!workload_spec.empty() || !tenants_spec.empty()) {
-        std::cerr << "--replay is shorthand for --workload=replay:FILE; give "
-                     "only one of --replay / --workload / --tenants\n";
-        return 2;
-      }
-      workload_spec = "replay:" + replay_path;
-    }
-    if (!workload_spec.empty() && !tenants_spec.empty()) {
-      std::cerr << "--workload and --tenants are mutually exclusive\n";
-      return 2;
-    }
-    if (!tenants_spec.empty()) {
-      cfg.tenants = workload::parse_tenants(tenants_spec);
-    } else if (!workload_spec.empty()) {
-      cfg.tenants = {workload::parse_tenant(workload_spec)};
-      if (cfg.tenants.front().name.empty()) cfg.tenants.front().name = "t0";
-    }
+    inv = read_invocation(flags);
   } catch (const std::logic_error& e) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-
-  core::RunWindow window;
-  window.warmup_us = flags.get_double("warmup-ms") * kMillisecond;
-  window.measure_us = flags.get_double("measure-ms") * kMillisecond;
-
-  // Fault timeline: scripted spec and/or seeded chaos windows (appended, then
-  // re-sorted so the combined plan stays time-ordered).
-  try {
-    const std::string fault_spec = flags.get_string("faults");
-    if (!fault_spec.empty()) cfg.fault_plan = fault::parse_fault_plan(fault_spec);
-    fault::ChaosOptions chaos;
-    chaos.horizon_us = window.horizon();
-    chaos.num_servers = static_cast<std::uint32_t>(cfg.num_servers);
-    chaos.num_clients = static_cast<std::uint32_t>(cfg.num_clients);
-    chaos.crashes = static_cast<std::uint32_t>(flags.get_int("chaos-crashes"));
-    chaos.slowdowns = static_cast<std::uint32_t>(flags.get_int("chaos-slowdowns"));
-    chaos.partitions = static_cast<std::uint32_t>(flags.get_int("chaos-partitions"));
-    if (chaos.crashes + chaos.slowdowns + chaos.partitions > 0) {
-      const fault::FaultPlan generated = fault::make_chaos_plan(
-          chaos, static_cast<std::uint64_t>(flags.get_int("chaos-seed")));
-      cfg.fault_plan.events.insert(cfg.fault_plan.events.end(),
-                                   generated.events.begin(),
-                                   generated.events.end());
-      std::stable_sort(cfg.fault_plan.events.begin(), cfg.fault_plan.events.end(),
-                       [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
-                         return a.at < b.at;
-                       });
-    }
-    cfg.validate();
-  } catch (const std::invalid_argument& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
-
-  std::vector<sched::Policy> policies;
-  try {
-    policies = parse_policies(flags.get_string("policy"));
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
+  core::ClusterConfig& cfg = inv.cfg;
+  const core::RunWindow& window = inv.window;
+  const std::vector<sched::Policy>& policies = inv.policies;
 
   const std::string trace_path = flags.get_string("trace");
   const std::string record_path = flags.get_string("record");
 
-  if (flags.get_bool("sweep")) {
+  if (inv.sweep) {
     if (!trace_path.empty()) {
       std::cerr << "--trace is incompatible with --sweep\n";
       return 2;
@@ -517,7 +524,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     trace::Tracer::Config trace_cfg;
-    trace_cfg.cap = static_cast<std::size_t>(flags.get_int("trace-cap"));
+    trace_cfg.cap = inv.trace_cap;
     trace::Tracer tracer{trace_cfg};
     cfg.policy = policies.front();
     runs.push_back({policies.front(), core::run_experiment(cfg, window, &tracer)});
@@ -639,7 +646,7 @@ int main(int argc, char** argv) {
                 << r.mean_server_utilization << ',' << r.max_server_utilization
                 << ',' << r.net_messages << ',' << r.progress_messages << '\n';
     }
-    if (flags.get_bool("breakdown")) print_breakdown();
+    if (inv.breakdown) print_breakdown();
     if (have_tenants) print_tenants();
     if (!cfg.fault_plan.empty()) print_degradation();
     if (cfg.overload.enabled()) print_overload();
@@ -662,7 +669,7 @@ int main(int argc, char** argv) {
          Table::fmt(r.max_server_utilization, 3)});
   }
   table.print(std::cout);
-  if (flags.get_bool("breakdown")) print_breakdown();
+  if (inv.breakdown) print_breakdown();
   if (have_tenants) print_tenants();
   if (!cfg.fault_plan.empty()) print_degradation();
   if (cfg.overload.enabled()) print_overload();
